@@ -5,7 +5,9 @@ Numerics: :func:`rectangle_mesh` / :func:`small_mesh` / :func:`large_mesh`
 :class:`GasDynamicsFEM` — a first-order lumped-mass Galerkin Euler solver.
 
 Performance: :class:`FEMWorkload` with the paper's three Figure-7 curves
-(:func:`small1_problem`, :func:`small2_problem`, :func:`large_problem`).
+(:func:`small1_problem`, :func:`small2_problem`, :func:`large_problem`),
+sized by the closed-form :func:`rectangle_counts` of :data:`SMALL_GRID` /
+:data:`LARGE_GRID` — no mesh is built to model a run.
 """
 
 from .driver import FEMSimulation
@@ -17,7 +19,15 @@ from .gasdyn import (
     sod_tube,
     uniform_flow,
 )
-from .mesh import TriMesh, large_mesh, rectangle_mesh, small_mesh
+from .mesh import (
+    LARGE_GRID,
+    SMALL_GRID,
+    TriMesh,
+    large_mesh,
+    rectangle_counts,
+    rectangle_mesh,
+    small_mesh,
+)
 from .morton import (
     element_permutation,
     morton_decode,
@@ -35,7 +45,8 @@ from .workload import (
 )
 
 __all__ = [
-    "TriMesh", "rectangle_mesh", "small_mesh", "large_mesh",
+    "TriMesh", "rectangle_counts", "rectangle_mesh", "small_mesh",
+    "large_mesh", "SMALL_GRID", "LARGE_GRID",
     "morton_encode", "morton_decode", "morton_order_mesh",
     "point_permutation", "element_permutation",
     "FEMState", "GasDynamicsFEM", "FEMSimulation", "uniform_flow",

@@ -12,6 +12,10 @@ Both have the paper's stated "about two elements to every point" and an
 average of six (maximum seven at boundaries handled as fewer) elements
 meeting at each point.  A periodic variant (points glued across the
 boundary) is provided for conservation tests.
+
+The sizes are closed-form (:func:`rectangle_counts`), so the performance
+model never builds a mesh; :func:`rectangle_mesh` materialises one only
+for the numerics (solver, diagnostics, tests).
 """
 
 from __future__ import annotations
@@ -21,7 +25,13 @@ from typing import Tuple
 
 import numpy as np
 
-__all__ = ["TriMesh", "rectangle_mesh", "small_mesh", "large_mesh"]
+__all__ = ["TriMesh", "rectangle_counts", "rectangle_mesh", "small_mesh",
+           "large_mesh", "SMALL_GRID", "LARGE_GRID"]
+
+#: the paper's small data set as a quad grid: 321 x 145 points
+SMALL_GRID = (320, 144)
+#: the paper's large data set as a quad grid: 513 x 513 points
+LARGE_GRID = (512, 512)
 
 
 @dataclass(frozen=True)
@@ -115,15 +125,25 @@ def _unwrap(p: np.ndarray, extent: Tuple[float, float]) -> np.ndarray:
     return p
 
 
+def rectangle_counts(nx: int, ny: int,
+                     periodic: bool = False) -> Tuple[int, int]:
+    """``(n_points, n_elements)`` of :func:`rectangle_mesh` without
+    building it: ``(nx+1)(ny+1)`` (periodic: ``nx ny``) and ``2 nx ny``."""
+    if nx < 1 or ny < 1:
+        raise ValueError("mesh needs at least one quad per dimension")
+    n_points = nx * ny if periodic else (nx + 1) * (ny + 1)
+    return n_points, 2 * nx * ny
+
+
 def rectangle_mesh(nx: int, ny: int, periodic: bool = False,
                    width: float = 1.0, height: float = 1.0) -> TriMesh:
     """A structured triangulation of a rectangle: ``2 nx ny`` triangles.
 
     Non-periodic: ``(nx+1)(ny+1)`` points.  Periodic: ``nx ny`` points
-    with opposite edges identified.
+    with opposite edges identified.  Quads are visited x-major; each
+    splits into ``(p00, p10, p11)`` and ``(p00, p11, p01)``.
     """
-    if nx < 1 or ny < 1:
-        raise ValueError("mesh needs at least one quad per dimension")
+    rectangle_counts(nx, ny, periodic)   # validates the grid
     px, py = (nx, ny) if periodic else (nx + 1, ny + 1)
     if periodic:
         # the identified right/top edge points are omitted
@@ -135,28 +155,23 @@ def rectangle_mesh(nx: int, ny: int, periodic: bool = False,
     xg, yg = np.meshgrid(xs, ys, indexing="ij")
     points = np.column_stack([xg.ravel(), yg.ravel()])
 
-    def pid(i: int, j: int) -> int:
-        if periodic:
-            return (i % nx) * py + (j % ny)
-        return i * py + j
-
-    tris = []
-    for i in range(nx):
-        for j in range(ny):
-            p00 = pid(i, j)
-            p10 = pid(i + 1, j)
-            p01 = pid(i, j + 1)
-            p11 = pid(i + 1, j + 1)
-            tris.append((p00, p10, p11))
-            tris.append((p00, p11, p01))
-    return TriMesh(points, np.array(tris, dtype=np.int64), periodic=periodic)
+    i, j = np.meshgrid(np.arange(nx, dtype=np.int64),
+                       np.arange(ny, dtype=np.int64), indexing="ij")
+    i1, j1 = i + 1, j + 1
+    if periodic:
+        i1 %= nx
+        j1 %= ny
+    p00, p10 = i * py + j, i1 * py + j
+    p01, p11 = i * py + j1, i1 * py + j1
+    tris = np.stack([p00, p10, p11, p00, p11, p01], axis=-1).reshape(-1, 3)
+    return TriMesh(points, tris, periodic=periodic)
 
 
 def small_mesh() -> TriMesh:
     """The paper's small data set: 46 545 points, 92 160 elements."""
-    return rectangle_mesh(320, 144)
+    return rectangle_mesh(*SMALL_GRID)
 
 
 def large_mesh() -> TriMesh:
     """The paper's large data set: 263 169 points, 524 288 elements."""
-    return rectangle_mesh(512, 512)
+    return rectangle_mesh(*LARGE_GRID)

@@ -14,6 +14,10 @@ its lower measured rate (31 vs 18 MFLOP/s serial, §5.2.2).
 
 MFLOP/s uses the paper's own conversion factor of 437 useful flops per
 point update.
+
+Problem sizes come from the closed-form grid counts
+(:func:`~repro.apps.fem.mesh.rectangle_counts`): the model needs the
+point and element counts of the paper's meshes, never the meshes.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from ...perfmodel import (
 )
 from ...runtime import Placement
 from .gasdyn import FLOPS_PER_ELEMENT_UPDATE, FLOPS_PER_POINT_UPDATE
-from .mesh import large_mesh, small_mesh
+from .mesh import LARGE_GRID, SMALL_GRID, rectangle_counts
 
 __all__ = ["FEMProblem", "FEMWorkload", "small1_problem", "small2_problem",
            "large_problem", "C90_FEM_PROFILE"]
@@ -74,21 +78,18 @@ class FEMProblem:
 
 def small1_problem() -> FEMProblem:
     """Small mesh, tight coding (Fig 7 curve 'small1')."""
-    mesh = small_mesh()
-    return FEMProblem(mesh.n_points, mesh.n_elements, "small1")
+    return FEMProblem(*rectangle_counts(*SMALL_GRID), "small1")
 
 
 def small2_problem() -> FEMProblem:
     """Small mesh, vector-style coding (Fig 7 curve 'small2')."""
-    mesh = small_mesh()
-    return FEMProblem(mesh.n_points, mesh.n_elements, "small2",
+    return FEMProblem(*rectangle_counts(*SMALL_GRID), "small2",
                       traffic_factor=1.8)
 
 
 def large_problem() -> FEMProblem:
     """Large mesh (Fig 7 curve 'large')."""
-    mesh = large_mesh()
-    return FEMProblem(mesh.n_points, mesh.n_elements, "large")
+    return FEMProblem(*rectangle_counts(*LARGE_GRID), "large")
 
 
 class FEMWorkload:

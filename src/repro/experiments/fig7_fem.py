@@ -31,13 +31,6 @@ _PROBLEMS = {"small1": small1_problem, "large": large_problem,
              "small2": small2_problem}
 
 
-def _label_of(problem) -> str:
-    for name, factory in _PROBLEMS.items():
-        if factory().label == problem.label:
-            return name
-    raise KeyError(problem.label)
-
-
 def _unit(params, config):
     """One work unit: one (problem, processor-count) FEM run."""
     problem = _PROBLEMS[params["problem"]]()
@@ -77,11 +70,11 @@ def run(config: Optional[MachineConfig] = None,
     series = []
     data: Dict = {"processors": list(processor_counts)}
     c90_rate = None
-    for problem in (small1_problem(), large_problem(), small2_problem()):
+    for name, factory in _PROBLEMS.items():
+        problem = factory()
         workload = FEMWorkload(problem, config)
         curve = scaling_study(workload.run, processor_counts,
-                              label=f"fem:{_label_of(problem)}",
-                              point=point)
+                              label=f"fem:{name}", point=point)
         rates = [pt.mflops for pt in curve.points]
         series.append(Series(problem.label, list(processor_counts), rates))
         data[problem.label] = {"mflops": rates}

@@ -16,7 +16,7 @@ walks, and the machine-full OS interference applies at every size.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from ..apps.fem import FEMWorkload
 from ..apps.fem import large_problem as fem_large
@@ -37,13 +37,13 @@ HYPERNODE_COUNTS = [1, 2, 4, 8, 16]
 _PPM_SCALE_PROBLEM = PPMProblem(480, 960, 8, 32)
 
 
-def _workloads(config: MachineConfig) -> Dict[str, object]:
-    return {
-        "PIC 64x64x32": PICWorkload(pic_large(), config),
-        "FEM large": FEMWorkload(fem_large(), config),
-        "N-body 2M": NBodyWorkload(problem_2m(), config),
-        "PPM 480x960": PPMWorkload(_PPM_SCALE_PROBLEM, config),
-    }
+#: application name -> workload factory for one machine configuration
+_APPS: Dict[str, Callable[[MachineConfig], object]] = {
+    "PIC 64x64x32": lambda config: PICWorkload(pic_large(), config),
+    "FEM large": lambda config: FEMWorkload(fem_large(), config),
+    "N-body 2M": lambda config: NBodyWorkload(problem_2m(), config),
+    "PPM 480x960": lambda config: PPMWorkload(_PPM_SCALE_PROBLEM, config),
+}
 
 
 def _run_app(workload, n_threads: int):
@@ -56,21 +56,20 @@ def _unit(params, config):
     """One work unit: one application at one machine size (time_ns)."""
     del config  # machine size is the swept variable here
     cfg = spp1000(n_hypernodes=params["hypernodes"])
-    workload = _workloads(cfg)[params["app"]]
+    workload = _APPS[params["app"]](cfg)
     return _run_app(workload, params["threads"]).time_ns
 
 
 def plan_units(config, quick: bool = False):
-    app_names = list(_workloads(spp1000(n_hypernodes=1)))
     units = [WorkUnit("scale128", f"baseline:{name}",
                       {"app": name, "hypernodes": 1, "threads": 1})
-             for name in app_names]
+             for name in _APPS]
     for hns in HYPERNODE_COUNTS:
         n_cpus = spp1000(n_hypernodes=hns).n_cpus
         units.extend(WorkUnit("scale128", f"{name}:{hns}",
                               {"app": name, "hypernodes": hns,
                                "threads": n_cpus})
-                     for name in app_names)
+                     for name in _APPS)
     return units
 
 
@@ -89,23 +88,22 @@ def run(config: Optional[MachineConfig] = None,
         checkpoint.bind("scale128")
     point = point_runner(checkpoint)
 
-    baseline_cfg = spp1000(n_hypernodes=1)
-    baselines = {name: point(f"baseline:{name}",
-                             lambda w=w: _run_app(w, 1).time_ns)
-                 for name, w in _workloads(baseline_cfg).items()}
+    def app_point(key: str, name: str, hypernodes: int, threads: int):
+        params = {"app": name, "hypernodes": hypernodes, "threads": threads}
+        return point(key, lambda: _unit(params, None))
+
+    baselines = {name: app_point(f"baseline:{name}", name, 1, 1)
+                 for name in _APPS}
 
     series: List[Series] = []
     data: Dict = {"cpus": []}
     per_app: Dict[str, List[float]] = {name: [] for name in baselines}
     cpus_axis = []
     for hns in HYPERNODE_COUNTS:
-        cfg = spp1000(n_hypernodes=hns)
-        n_cpus = cfg.n_cpus
+        n_cpus = spp1000(n_hypernodes=hns).n_cpus
         cpus_axis.append(n_cpus)
-        for name, workload in _workloads(cfg).items():
-            time_ns = point(
-                f"{name}:{hns}",
-                lambda w=workload, n=n_cpus: _run_app(w, n).time_ns)
+        for name in _APPS:
+            time_ns = app_point(f"{name}:{hns}", name, hns, n_cpus)
             per_app[name].append(baselines[name] / time_ns)
     data["cpus"] = cpus_axis
 

@@ -14,10 +14,16 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import List, Tuple
+from functools import cached_property
+from typing import Dict, List, Tuple
 
 from ..core.config import MachineConfig
-from ..runtime.scheduler import Placement, assign, hypernodes_used
+from ..runtime.scheduler import (
+    Placement,
+    assign,
+    hypernodes_used,
+    team_geometry,
+)
 
 __all__ = ["Access", "LocalityMix", "Msg", "Phase", "StepWork", "TeamSpec"]
 
@@ -102,17 +108,23 @@ class StepWork:
 
 @dataclass(frozen=True)
 class TeamSpec:
-    """A thread team mapped onto the machine."""
+    """A thread team mapped onto the machine.
+
+    The layout (CPU per thread, hypernodes in use, threads per
+    hypernode) is derived once per team and memoised: the model queries
+    it for every phase of every thread.  Treat the returned lists as
+    read-only.
+    """
 
     config: MachineConfig
     n_threads: int
     placement: Placement = Placement.HIGH_LOCALITY
 
-    @property
+    @cached_property
     def cpus(self) -> List[int]:
         return assign(self.config, self.n_threads, self.placement)
 
-    @property
+    @cached_property
     def hypernodes(self) -> List[int]:
         return hypernodes_used(self.config, self.cpus)
 
@@ -120,9 +132,17 @@ class TeamSpec:
     def n_hypernodes_used(self) -> int:
         return len(self.hypernodes)
 
-    def threads_on_hypernode(self, hn: int) -> int:
+    @cached_property
+    def _thread_hypernodes(self) -> List[int]:
         per_hn = self.config.cpus_per_hypernode
-        return sum(1 for c in self.cpus if c // per_hn == hn)
+        return [c // per_hn for c in self.cpus]
+
+    @cached_property
+    def _hypernode_counts(self) -> Dict[int, int]:
+        return team_geometry(self.config, self.cpus)
+
+    def threads_on_hypernode(self, hn: int) -> int:
+        return self._hypernode_counts.get(hn, 0)
 
     def hypernode_of_thread(self, tid: int) -> int:
-        return self.cpus[tid] // self.config.cpus_per_hypernode
+        return self._thread_hypernodes[tid]

@@ -450,7 +450,8 @@ class AsyncClient:
         self._reader = None
         self._writer = None
         self._jobs: Dict[str, AsyncJob] = {}
-        self._pending: Dict[str, "object"] = {}
+        #: submit tag -> (reply future, the submit's trace context)
+        self._pending: Dict[str, Tuple["object", TraceContext]] = {}
         self._waiters: Dict[str, List] = {}
         self._tag_seq = 0
         self._reader_task = None
@@ -493,7 +494,7 @@ class AsyncClient:
         wire_tag = tag if tag is not None else f"_sdk{self._tag_seq}"
         ctx = TraceContext(origin="client")
         future = asyncio.get_running_loop().create_future()
-        self._pending[wire_tag] = future
+        self._pending[wire_tag] = (future, ctx)
         t_submit = time.time()
         await self._send(_submit_message(
             experiment, quick=quick, jobs=jobs, seed=seed,
@@ -503,12 +504,9 @@ class AsyncClient:
         reply = await future
         if reply["kind"] == "error":
             raise _error_from(reply)
-        ctx.job_id = reply["job"]
         ctx.add_span("submit", t_submit, time.time(), cat="client",
                      experiment=experiment)
-        job = AsyncJob(self, reply["job"], reply["experiment"], ctx)
-        self._jobs[job.id] = job
-        return job
+        return self._jobs[reply["job"]]
 
     async def list(self) -> Dict[str, Dict]:
         return (await self._request("list", "experiments"))["experiments"]
@@ -589,7 +587,14 @@ class AsyncClient:
             return
         tag = message.get("tag")
         if tag in self._pending and kind in ("accepted", "error"):
-            future = self._pending.pop(tag)
+            future, ctx = self._pending.pop(tag)
+            if kind == "accepted":
+                # register the job now, not when submit() resumes: the
+                # read loop keeps dispatching buffered lines, and a fast
+                # job's events and result may already follow this reply
+                ctx.job_id = message["job"]
+                self._jobs[ctx.job_id] = AsyncJob(
+                    self, ctx.job_id, message["experiment"], ctx)
             if not future.done():
                 future.set_result(message)
             return
@@ -604,8 +609,8 @@ class AsyncClient:
             for future in waiters:
                 if not future.done():
                     future.set_result(closed)
-        for future in self._pending.values():
-            if hasattr(future, "done") and not future.done():
+        for future, _ctx in self._pending.values():
+            if not future.done():
                 future.set_result(closed)
         for job in self._jobs.values():
             if job._terminal is None:

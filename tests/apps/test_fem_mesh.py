@@ -5,16 +5,51 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.apps.fem import (
+    LARGE_GRID,
+    SMALL_GRID,
     TriMesh,
     element_permutation,
     large_mesh,
+    large_problem,
     morton_decode,
     morton_encode,
     morton_order_mesh,
     point_permutation,
+    rectangle_counts,
     rectangle_mesh,
+    small1_problem,
+    small2_problem,
     small_mesh,
 )
+
+
+def _loop_triangles(nx, ny, periodic):
+    """The reference quad-by-quad triangulation rectangle_mesh must match."""
+    py = ny if periodic else ny + 1
+
+    def pid(i, j):
+        if periodic:
+            return (i % nx) * py + (j % ny)
+        return i * py + j
+
+    tris = []
+    for i in range(nx):
+        for j in range(ny):
+            p00, p10 = pid(i, j), pid(i + 1, j)
+            p01, p11 = pid(i, j + 1), pid(i + 1, j + 1)
+            tris.append((p00, p10, p11))
+            tris.append((p00, p11, p01))
+    return np.array(tris, dtype=np.int64)
+
+
+def _loop_points(nx, ny, periodic, width, height):
+    if periodic:
+        xs = np.arange(nx) * (width / nx)
+        ys = np.arange(ny) * (height / ny)
+    else:
+        xs = np.linspace(0.0, width, nx + 1)
+        ys = np.linspace(0.0, height, ny + 1)
+    return np.array([(x, y) for x in xs for y in ys])
 
 
 def test_paper_mesh_sizes_exact():
@@ -24,6 +59,48 @@ def test_paper_mesh_sizes_exact():
     large = large_mesh()
     assert large.n_points == 263169
     assert large.n_elements == 524288
+
+
+@pytest.mark.parametrize("periodic", [False, True])
+@pytest.mark.parametrize("ny", [1, 2, 5, 7, 32])
+@pytest.mark.parametrize("nx", [1, 2, 5, 7, 32])
+def test_rectangle_mesh_matches_reference_loop(nx, ny, periodic):
+    mesh = rectangle_mesh(nx, ny, periodic=periodic)
+    expected = _loop_triangles(nx, ny, periodic)
+    assert mesh.triangles.dtype == expected.dtype == np.int64
+    assert np.array_equal(mesh.triangles, expected)
+    assert np.array_equal(mesh.points,
+                          _loop_points(nx, ny, periodic, 1.0, 1.0))
+    assert (mesh.n_points, mesh.n_elements) == \
+        rectangle_counts(nx, ny, periodic)
+
+
+@pytest.mark.parametrize("periodic", [False, True])
+def test_rectangle_mesh_custom_extent_matches_reference_loop(periodic):
+    mesh = rectangle_mesh(6, 3, periodic=periodic, width=2.5, height=0.75)
+    assert np.array_equal(mesh.triangles, _loop_triangles(6, 3, periodic))
+    assert np.array_equal(mesh.points,
+                          _loop_points(6, 3, periodic, 2.5, 0.75))
+
+
+def test_rectangle_counts_closed_form():
+    assert rectangle_counts(*SMALL_GRID) == (46545, 92160)
+    assert rectangle_counts(*LARGE_GRID) == (263169, 524288)
+    assert rectangle_counts(4, 3, periodic=True) == (12, 24)
+    with pytest.raises(ValueError):
+        rectangle_counts(0, 3)
+    with pytest.raises(ValueError):
+        rectangle_counts(3, 0, periodic=True)
+
+
+def test_problem_factories_size_from_the_paper_meshes():
+    """The factories never build a mesh; their counts are the meshes'."""
+    small, large = small_mesh(), large_mesh()
+    for problem, mesh in ((small1_problem(), small),
+                          (small2_problem(), small),
+                          (large_problem(), large)):
+        assert (problem.n_points, problem.n_elements) == \
+            (mesh.n_points, mesh.n_elements)
 
 
 def test_two_elements_per_point_ratio():

@@ -230,3 +230,57 @@ def test_async_client_interleaves_two_jobs(server):
     ra, rb = asyncio.run(go())
     assert len(ra.data["vals"]) == 6
     assert len(rb.data["vals"]) == 12
+
+
+def test_async_client_keeps_a_burst_queued_behind_accepted():
+    """``accepted``, the job's events and its ``result`` arriving in one
+    read all reach the job: the read loop dispatches buffered lines
+    before ``submit`` resumes, so the job must be registered when its
+    ``accepted`` reply is dispatched."""
+
+    async def go():
+        client = AsyncClient()
+        client._reader = asyncio.StreamReader()
+
+        class BurstWriter:
+            """Answers a submit with the whole job in one buffer."""
+
+            def write(self, data):
+                tag = decode(data)["tag"]
+                burst = [
+                    {"kind": "accepted", "tag": tag, "job": "j1",
+                     "experiment": "_srv_fast", "priority": 0,
+                     "queued": 0},
+                    {"kind": "event", "job": "j1",
+                     "record": {"event": "start"}},
+                    {"kind": "event", "job": "j1",
+                     "record": {"event": "done"}},
+                    {"kind": "result", "job": "j1",
+                     "experiment": "_srv_fast", "data": {"vals": [1]},
+                     "execution": {}, "wall_s": 0.0},
+                ]
+                client._reader.feed_data(
+                    b"".join(encode(message) for message in burst))
+
+            async def drain(self):
+                pass
+
+            def close(self):
+                pass
+
+            async def wait_closed(self):
+                pass
+
+        client._writer = BurstWriter()
+        client._reader_task = asyncio.get_running_loop().create_task(
+            client._read_loop())
+        job = await client.submit("_srv_fast", quick=True)
+        kinds = [record["event"] async for record in job.events()]
+        result = await job.result()
+        await client.close()
+        return job, kinds, result
+
+    job, kinds, result = asyncio.run(asyncio.wait_for(go(), timeout=10))
+    assert job.id == "j1" and job.trace_id
+    assert kinds == ["start", "done"]
+    assert result.data == {"vals": [1]}
