@@ -23,8 +23,8 @@ Typical use::
 
 from __future__ import annotations
 
-import heapq
 import itertools
+from heapq import heappop, heappush
 from typing import Callable, Generator, Iterable, Optional
 
 from .errors import (
@@ -53,7 +53,7 @@ class Event:
     time.  Processes wait on events by ``yield``-ing them.
     """
 
-    __slots__ = ("sim", "callbacks", "defused", "_value", "_ok", "_scheduled")
+    __slots__ = ("sim", "callbacks", "defused", "_value", "_ok")
 
     def __init__(self, sim: "Simulator"):
         self.sim = sim
@@ -63,7 +63,6 @@ class Event:
         self.defused = False
         self._value = _UNSET
         self._ok: Optional[bool] = None
-        self._scheduled = False
 
     # -- state ---------------------------------------------------------
     @property
@@ -90,13 +89,19 @@ class Event:
         return self._value
 
     # -- triggering ----------------------------------------------------
+    # An event is pushed exactly once: triggering an already-triggered
+    # event raises, and a Timeout is triggered (and pushed) at creation.
     def succeed(self, value=None) -> "Event":
         """Trigger the event successfully, delivering ``value`` to waiters."""
         if self._value is not _UNSET:
             raise EventAlreadyTriggered(repr(self))
         self._ok = True
         self._value = value
-        self.sim._schedule(self)
+        sim = self.sim
+        queue = sim._queue
+        heappush(queue, (sim._now, next(sim._seq), self))
+        if sim.hostscope is not None:
+            sim.hostscope.note_push(len(queue))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -107,7 +112,11 @@ class Event:
             raise EventAlreadyTriggered(repr(self))
         self._ok = False
         self._value = exception
-        self.sim._schedule(self)
+        sim = self.sim
+        queue = sim._queue
+        heappush(queue, (sim._now, next(sim._seq), self))
+        if sim.hostscope is not None:
+            sim.hostscope.note_push(len(queue))
         return self
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -124,11 +133,16 @@ class Timeout(Event):
     def __init__(self, sim: "Simulator", delay: float, value=None):
         if delay < 0:
             raise ValueError(f"negative timeout delay: {delay}")
-        super().__init__(sim)
+        self.sim = sim
+        self.callbacks = []
+        self.defused = False
         self.delay = delay
         self._ok = True
         self._value = value
-        self.sim._schedule(self, delay)
+        queue = sim._queue
+        heappush(queue, (sim._now + delay, next(sim._seq), self))
+        if sim.hostscope is not None:
+            sim.hostscope.note_push(len(queue))
 
 
 class Condition(Event):
@@ -179,11 +193,11 @@ class Simulator:
         self._now = 0.0
         self._queue: list = []
         self._seq = itertools.count()
-        self._active_process = None
         #: optional :class:`~repro.sim.trace.Tracer` counting event
         #: dispatches under ``"sim.dispatch"``.  Left ``None`` by default
         #: so the hot loop pays nothing; the machine model attaches its
-        #: tracer here when tracing is enabled.
+        #: tracer here when tracing is enabled.  Read once per
+        #: :meth:`run` call, so attach it before running.
         self.tracer = None
         #: optional :class:`~repro.faults.watchdog.Watchdog` whose report
         #: enriches deadlock diagnostics; attached by the machine model
@@ -195,7 +209,8 @@ class Simulator:
         #: optional :class:`~repro.obs.hostscope.HostScope` attributing
         #: *host* wall-time to simulator subsystems.  Adopted from the
         #: ambient ``use_hostscope`` scope at construction; ``None`` by
-        #: default so the hot loop pays exactly one ``is None`` check.
+        #: default so the hot loop pays nothing.  Read once per
+        #: :meth:`run` call, so attach it before running.
         self.hostscope = _ambient_hostscope()
         if self.hostscope is not None:
             self.hostscope.simulators += 1
@@ -231,18 +246,7 @@ class Simulator:
         the process's generator slices are attributed to (default
         ``"app"``); it has no effect on simulated time.
         """
-        from .process import Process
-
         return Process(self, generator, region=region)
-
-    # -- scheduling -------------------------------------------------------
-    def _schedule(self, event: Event, delay: float = 0.0) -> None:
-        if event._scheduled:
-            return
-        event._scheduled = True
-        heapq.heappush(self._queue, (self._now + delay, next(self._seq), event))
-        if self.hostscope is not None:
-            self.hostscope.note_push(len(self._queue))
 
     def schedule_callback(self, delay: float, fn: Callable[[], None]) -> Event:
         """Run ``fn()`` after ``delay`` ns; returns the underlying event."""
@@ -257,42 +261,29 @@ class Simulator:
 
     def step(self) -> None:
         """Process exactly one event from the queue."""
-        if self.hostscope is not None:
-            self._step_profiled(self.hostscope)
-            return
-        time, _seq, event = heapq.heappop(self._queue)
-        if time < self._now - 1e-12:
-            raise SimulationError("event scheduled in the past")
-        self._now = time
-        if self.tracer is not None:
-            self.tracer.emit(time, "sim.dispatch")
-        callbacks, event.callbacks = event.callbacks, None
-        for callback in callbacks:
-            callback(event)
-        if not event.ok and not event.defused:
-            # A failed event nobody waited on: surface the error loudly
-            # rather than silently dropping it.
-            raise event.value
+        self._step_hooked(self.hostscope, self.tracer)
 
-    def _step_profiled(self, hs) -> None:
-        """:meth:`step` with host-time accounting (hostscope installed)."""
-        detail = hs.detail
+    def _step_hooked(self, hs, tracer) -> None:
+        """Dispatch one event with host-time accounting (``hs``) and/or a
+        ``"sim.dispatch"`` count (``tracer``); either may be ``None``."""
+        detail = hs is not None and hs.detail
         queue = self._queue
-        hs.events += 1
-        hs.depth_sum += len(queue)
+        if hs is not None:
+            hs.events += 1
+            hs.depth_sum += len(queue)
         if detail:
             hs.enter("event_heap")
-            time, _seq, event = heapq.heappop(queue)
+            time, _seq, event = heappop(queue)
             hs.exit()
         else:
-            time, _seq, event = heapq.heappop(queue)
+            time, _seq, event = heappop(queue)
         if time < self._now - 1e-12:
             raise SimulationError("event scheduled in the past")
-        if time > self._now:
+        if hs is not None and time > self._now:
             hs.sim_ns += time - self._now
         self._now = time
-        if self.tracer is not None:
-            self.tracer.emit(time, "sim.dispatch")
+        if tracer is not None:
+            tracer.emit(time, "sim.dispatch")
         callbacks, event.callbacks = event.callbacks, None
         if detail:
             hs.enter("dispatch")
@@ -304,8 +295,8 @@ class Simulator:
         else:
             for callback in callbacks:
                 callback(event)
-        if not event.ok and not event.defused:
-            raise event.value
+        if not event._ok and not event.defused:
+            raise event._value
 
     def run(self, until: "float | Event | None" = None):
         """Run the event loop.
@@ -314,28 +305,53 @@ class Simulator:
         including that instant), or an :class:`Event` (run until it has been
         processed, returning its value; raises :class:`DeadlockError` if the
         queue drains first).
+
+        The ``hostscope`` and ``tracer`` hooks are read once, here: one
+        attached while the loop runs takes effect at the next call.
         """
-        if until is None:
-            while self._queue:
-                self.step()
-            return None
+        horizon = float("inf")
         if isinstance(until, Event):
             sentinel = until
-            while not sentinel.processed:
-                if not self._queue:
-                    raise DeadlockError(
-                        "event queue drained before target event triggered",
-                        now=self._now, pending=self.alive_processes,
-                        report=(self.watchdog.report(self._now)
-                                if self.watchdog is not None else None))
-                self.step()
-            if sentinel.ok:
-                return sentinel.value
-            raise sentinel.value
-        horizon = float(until)
-        if horizon < self._now:
-            raise ValueError("cannot run backwards in time")
-        while self._queue and self._queue[0][0] <= horizon:
-            self.step()
-        self._now = max(self._now, horizon)
+        else:
+            # A never-triggered event: its callbacks never become None.
+            sentinel = Event(self)
+            if until is not None:
+                horizon = float(until)
+                if horizon < self._now:
+                    raise ValueError("cannot run backwards in time")
+        queue = self._queue
+        hs, tracer = self.hostscope, self.tracer
+        hooked = hs is not None or tracer is not None
+        while sentinel.callbacks is not None and queue \
+                and queue[0][0] <= horizon:
+            if hooked:
+                self._step_hooked(hs, tracer)
+                continue
+            time, _seq, event = heappop(queue)
+            if time < self._now - 1e-12:
+                raise SimulationError("event scheduled in the past")
+            self._now = time
+            callbacks, event.callbacks = event.callbacks, None
+            for callback in callbacks:
+                callback(event)
+            if not event._ok and not event.defused:
+                # A failed event nobody waited on: surface the error
+                # loudly rather than silently dropping it.
+                raise event._value
+        if sentinel is until:
+            if sentinel.callbacks is not None:
+                raise DeadlockError(
+                    "event queue drained before target event triggered",
+                    now=self._now, pending=self.alive_processes,
+                    report=(self.watchdog.report(self._now)
+                            if self.watchdog is not None else None))
+            if sentinel._ok:
+                return sentinel._value
+            raise sentinel._value
+        if until is not None:
+            self._now = max(self._now, horizon)
         return None
+
+
+# Process subclasses Event, so it is imported once Event and Simulator exist.
+from .process import Process  # noqa: E402

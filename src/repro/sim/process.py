@@ -18,9 +18,10 @@ each other::
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import Generator
 
-from .engine import Event, Simulator
+from .engine import _UNSET, Event, Simulator
 from .errors import Interrupt, SimulationError
 
 __all__ = ["Process"]
@@ -37,20 +38,31 @@ class Process(Event):
             raise SimulationError(
                 f"Process needs a generator, got {type(generator).__name__}; "
                 "did you call the function instead of passing its generator?")
-        super().__init__(sim)
+        self.sim = sim
+        self.callbacks = []
+        self.defused = False
+        self._value = _UNSET
+        self._ok = None
         sim.alive_processes += 1
         self._generator = generator
         self.name = name or getattr(generator, "__name__", "process")
         #: hostscope region this process's generator slices bill to
         self.region = region or "app"
-        if sim.hostscope is not None:
-            sim.hostscope.processes += 1
+        hs = sim.hostscope
+        if hs is not None:
+            hs.processes += 1
         #: the event this process is currently waiting on (None when ready)
         self._target: Event | None = None
-        # Kick-start at the current instant.
+        # Kick-start at the current instant: an already-succeeded event
+        # pushed straight onto the heap.
         start = Event(sim)
+        start._ok = True
+        start._value = None
         start.callbacks.append(self._resume)
-        start.succeed()
+        queue = sim._queue
+        heappush(queue, (sim._now, next(sim._seq), start))
+        if hs is not None:
+            hs.note_push(len(queue))
 
     @property
     def is_alive(self) -> bool:
@@ -58,14 +70,14 @@ class Process(Event):
         return not self.triggered
 
     def succeed(self, value=None) -> "Event":
-        result = super().succeed(value)
+        Event.succeed(self, value)
         self.sim.alive_processes -= 1
-        return result
+        return self
 
     def fail(self, exception: BaseException) -> "Event":
-        result = super().fail(exception)
+        Event.fail(self, exception)
         self.sim.alive_processes -= 1
-        return result
+        return self
 
     def interrupt(self, cause: object = None) -> None:
         """Throw :class:`Interrupt` into the process at the current time.
@@ -90,51 +102,49 @@ class Process(Event):
         # Host-time attribution: each generator slice bills to the
         # process's hostscope region.  Off path (no profiler): one None
         # check and a try/finally — the body stays inline, no extra call.
-        hs = self.sim.hostscope
+        # ``event`` has been processed, so its slots are read directly.
+        sim = self.sim
+        hs = sim.hostscope
         prof = hs is not None and hs.detail
         if prof:
             hs.enter(self.region)
         try:
-            self.sim._active_process = self
             self._target = None
             try:
-                if event.ok:
-                    next_event = self._generator.send(event.value)
+                if event._ok:
+                    next_event = self._generator.send(event._value)
                 else:
                     event.defused = True
-                    next_event = self._generator.throw(event.value)
+                    next_event = self._generator.throw(event._value)
             except StopIteration as stop:
-                self.sim._active_process = None
                 self.succeed(stop.value)
                 return
             except BaseException as exc:
-                self.sim._active_process = None
                 self.fail(exc)
                 return
-            self.sim._active_process = None
             if not isinstance(next_event, Event):
                 kind = type(next_event).__name__
                 self._generator.close()
                 self.fail(SimulationError(
                     f"process {self.name!r} yielded a non-event ({kind})"))
                 return
-            if next_event.sim is not self.sim:
+            if next_event.sim is not sim:
                 self._generator.close()
                 self.fail(SimulationError(
                     f"process {self.name!r} yielded an event from another "
                     "simulator"))
                 return
-            if next_event.processed:
-                # Already done: resume immediately (at the current
+            if next_event.callbacks is None:
+                # Already processed: resume immediately (at the current
                 # instant) via a fresh proxy event so ordering stays FIFO.
-                proxy = Event(self.sim)
+                proxy = Event(sim)
                 proxy.callbacks.append(self._resume)
-                if next_event.ok:
-                    proxy.succeed(next_event.value)
+                if next_event._ok:
+                    proxy.succeed(next_event._value)
                 else:
                     next_event.defused = True
                     proxy.defused = True
-                    proxy.fail(next_event.value)
+                    proxy.fail(next_event._value)
                 self._target = proxy
             else:
                 next_event.callbacks.append(self._resume)

@@ -23,7 +23,7 @@ from repro.obs.hostscope import (
 )
 from repro.pvm import PvmSystem
 from repro.runtime import Placement, Runtime
-from repro.sim import Simulator
+from repro.sim import Event, Simulator
 from repro.sim.errors import SimulationError
 from repro.sim.process import Process
 
@@ -234,40 +234,44 @@ def test_trace_summary_census():
 # the off-path overhead budget
 # ---------------------------------------------------------------------------
 
-def _reference_step(self):
-    """Simulator.step as it was before hostscope instrumentation."""
-    time_, _seq, event = heapq.heappop(self._queue)
-    if time_ < self._now - 1e-12:
-        raise SimulationError("event scheduled in the past")
-    self._now = time_
-    if self.tracer is not None:
-        self.tracer.emit(time_, "sim.dispatch")
-    callbacks, event.callbacks = event.callbacks, None
-    for callback in callbacks:
-        callback(event)
-    if not event.ok and not event.defused:
-        raise event.value
+def _reference_run(self, until=None):
+    """Simulator.run's dispatch loop as it was before hostscope: the same
+    loop condition, with the tracer as its only hook.  Drain mode only,
+    the one the churn workload uses."""
+    assert until is None
+    sentinel, horizon = Event(self), float("inf")
+    queue, tracer = self._queue, self.tracer
+    while sentinel.callbacks is not None and queue \
+            and queue[0][0] <= horizon:
+        time_, _seq, event = heapq.heappop(queue)
+        if time_ < self._now - 1e-12:
+            raise SimulationError("event scheduled in the past")
+        self._now = time_
+        if tracer is not None:
+            tracer.emit(time_, "sim.dispatch")
+        callbacks, event.callbacks = event.callbacks, None
+        for callback in callbacks:
+            callback(event)
+        if not event._ok and not event.defused:
+            raise event._value
 
 
 def _reference_resume(self, event):
-    """Process._resume as it was before hostscope instrumentation."""
-    self.sim._active_process = self
+    """Process._resume without the hostscope region hook."""
+    sim = self.sim
     self._target = None
     try:
-        if event.ok:
-            next_event = self._generator.send(event.value)
+        if event._ok:
+            next_event = self._generator.send(event._value)
         else:
             event.defused = True
-            next_event = self._generator.throw(event.value)
+            next_event = self._generator.throw(event._value)
     except StopIteration as stop:
-        self.sim._active_process = None
         self.succeed(stop.value)
         return
     except BaseException as exc:
-        self.sim._active_process = None
         self.fail(exc)
         return
-    self.sim._active_process = None
     if not isinstance(next_event, type(event)) \
             and not hasattr(next_event, "callbacks"):
         kind = type(next_event).__name__
@@ -275,21 +279,21 @@ def _reference_resume(self, event):
         self.fail(SimulationError(
             f"process {self.name!r} yielded a non-event ({kind})"))
         return
-    if next_event.sim is not self.sim:
+    if next_event.sim is not sim:
         self._generator.close()
         self.fail(SimulationError(
             f"process {self.name!r} yielded an event from another "
             "simulator"))
         return
-    if next_event.processed:
-        proxy = type(event)(self.sim)
+    if next_event.callbacks is None:
+        proxy = type(event)(sim)
         proxy.callbacks.append(self._resume)
-        if next_event.ok:
-            proxy.succeed(next_event.value)
+        if next_event._ok:
+            proxy.succeed(next_event._value)
         else:
             next_event.defused = True
             proxy.defused = True
-            proxy.fail(next_event.value)
+            proxy.fail(next_event._value)
         self._target = proxy
     else:
         next_event.callbacks.append(self._resume)
@@ -319,7 +323,7 @@ def _best_of(fn, repeats):
 
 def test_off_path_overhead_under_two_percent(monkeypatch):
     """The uninstalled profiler costs < 2% wall time on an event-churn
-    workload (one None check per step/schedule/resume)."""
+    workload (one hook read per run, one None check per push/resume)."""
     assert active_hostscope() is None
 
     def measure_once():
@@ -331,7 +335,7 @@ def test_off_path_overhead_under_two_percent(monkeypatch):
             _churn_workload()
             current = min(current, time.perf_counter() - t0)
             with monkeypatch.context() as mp:
-                mp.setattr(Simulator, "step", _reference_step)
+                mp.setattr(Simulator, "run", _reference_run)
                 mp.setattr(Process, "_resume", _reference_resume)
                 t0 = time.perf_counter()
                 _churn_workload()

@@ -179,3 +179,95 @@ def test_clock_is_monotonic_across_many_events():
     sim.run()
     assert times == sorted(times)
     assert sim.now == 3.0
+
+
+# -- the dispatch loop's edges ------------------------------------------
+
+def test_hooks_attached_between_runs_take_effect_at_next_run():
+    from repro.obs import HostScope
+    from repro.sim import Tracer
+
+    sim = Simulator()
+    for delay in (1.0, 2.0, 3.0, 4.0, 5.0):
+        sim.timeout(delay)
+    hs, tracer = HostScope(detail=False), Tracer()
+
+    def attach(_ev):
+        # Attached while run() is looping: not seen until the next call.
+        sim.hostscope, sim.tracer = hs, tracer
+
+    sim.timeout(2.0).callbacks.append(attach)
+    sim.run(until=3.0)
+    assert hs.events == 0 and tracer.count("sim.dispatch") == 0
+    sim.run()
+    assert hs.events == 2 and tracer.count("sim.dispatch") == 2
+    assert hs.sim_ns == 2.0          # clock advanced 3.0 -> 5.0 under it
+    assert sim.now == 5.0
+
+
+def test_step_reads_the_hooks_it_finds():
+    from repro.obs import HostScope
+
+    sim = Simulator()
+    sim.timeout(1.0)
+    sim.timeout(2.0)
+    sim.step()
+    sim.hostscope = HostScope(detail=False)
+    sim.step()
+    assert sim.hostscope.events == 1
+    assert sim.now == 2.0
+
+
+@pytest.mark.parametrize("mode", ["event", "time"])
+def test_unhandled_failure_raises_from_until_modes(mode):
+    sim = Simulator()
+    target = sim.timeout(50.0)
+    bad = sim.event()
+    sim.schedule_callback(10.0, lambda: bad.fail(KeyError("lost")))
+    with pytest.raises(KeyError, match="lost"):
+        sim.run(until=target if mode == "event" else 20.0)
+    assert sim.now == 10.0
+
+
+def test_run_until_time_keeps_same_time_fifo_and_stops_at_horizon():
+    sim = Simulator()
+    order = []
+
+    def spawn_at_horizon():
+        order.append("a")
+        # Scheduled *at* the horizon instant: still runs in this call.
+        sim.schedule_callback(0.0, lambda: order.append("c"))
+
+    sim.schedule_callback(20.0, spawn_at_horizon)
+    sim.schedule_callback(20.0, lambda: order.append("b"))
+    sim.schedule_callback(20.0 + 1e-9, lambda: order.append("late"))
+    sim.run(until=20.0)
+    assert order == ["a", "b", "c"]
+    assert sim.now == 20.0
+    assert sim.peek() == 20.0 + 1e-9
+    sim.run(until=25.0)              # horizon past the queue: clock jumps
+    assert order == ["a", "b", "c", "late"]
+    assert sim.now == 25.0
+
+
+def test_deadlock_error_carries_now_pending_and_watchdog_report():
+    from repro.faults.watchdog import Watchdog
+
+    sim = Simulator()
+    sim.watchdog = Watchdog(sim)
+    never = sim.event()
+
+    def waiter(sim):
+        yield sim.timeout(7.0)
+        sim.watchdog.block("thread 3", "barrier", "gen 1")
+        yield never
+
+    sim.process(waiter(sim))
+    sim.process(waiter(sim))
+    with pytest.raises(DeadlockError) as ei:
+        sim.run(until=never)
+    err = ei.value
+    assert err.now == 7.0
+    assert err.pending == 2
+    assert "2 blocked waiter(s)" in err.report
+    assert err.report in str(err)
