@@ -36,12 +36,17 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
+from contextlib import ExitStack
 from typing import List, Optional
 
 from .core import spp1000
-from .experiments import list_experiments
+from .experiments import list_experiments, run_experiment
+from .faults import use_faults
+from .obs.scopes import SCOPES
+from .sim import Tracer, use_tracer
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -50,17 +55,14 @@ def build_parser() -> argparse.ArgumentParser:
         description=("Reproduce the tables and figures of 'A Performance "
                      "Evaluation of the Convex SPP-1000' (SC'95) on the "
                      "simulated machine."))
+    verbs = [f"'{name} <experiment>' ({scope.verb_help})"
+             for name, scope in SCOPES.items()]
     parser.add_argument(
         "experiment", nargs="?", default=None,
         help="experiment id (fig2, fig3, ...), 'list', 'all', 'bench' "
              "(serial vs parallel vs cached wall-clock benchmark), "
-             "'timeline' (ASCII Gantt view of a trace), 'memscope "
-             "<experiment>' (memory-system profile: miss classes, hop "
-             "counts, ring occupancy, hot pages), 'critscope "
-             "<experiment>' (wait-state and critical-path analysis with "
-             "what-if speedup projections), or 'hostscope <experiment>' "
-             "(host-time self-profile: wall-clock attribution per "
-             "simulator subsystem plus cycles/s and events/s throughput)")
+             "'timeline' (ASCII Gantt view of a trace), "
+             + ", ".join(verbs[:-1]) + ", or " + verbs[-1])
     parser.add_argument(
         "--hypernodes", type=int, default=2,
         help="hypernodes in the simulated machine (default: 2, as measured "
@@ -158,27 +160,8 @@ def build_parser() -> argparse.ArgumentParser:
              "performance ledger at PATH (bare --ledger uses "
              "benchmarks/LEDGER.jsonl); works with 'bench' and with "
              "--metrics runs; inspect with 'python -m repro ledger'")
-    parser.add_argument(
-        "--memscope", action="store_true",
-        help="attach the memory-system profiler to the run: print the "
-             "miss-class/occupancy profile and fold a 'memscope' block "
-             "into --metrics manifests")
-    parser.add_argument(
-        "--memscope-sample", type=int, default=1, metavar="N",
-        help="profile 1-in-N accesses for the per-page heat map (aggregate "
-             "miss/hit counters stay exact; default: 1 = every access)")
-    parser.add_argument(
-        "--critscope", action="store_true",
-        help="attach the critical-path analyzer to the run: print the "
-             "per-thread wait-state attribution, critical path and "
-             "what-if projections, and fold a 'critscope' block into "
-             "--metrics manifests")
-    parser.add_argument(
-        "--hostscope", action="store_true",
-        help="attach the host-time self-profiler to the run: print the "
-             "per-subsystem wall-clock attribution and throughput "
-             "report, and fold a 'hostscope' block into --metrics "
-             "manifests")
+    for scope in SCOPES.values():
+        scope.add_flags(parser)
     parser.add_argument(
         "--progress", nargs="?", const="-", default=None, metavar="PATH",
         help="stream live JSONL sweep telemetry (unit completions with "
@@ -219,18 +202,8 @@ def _unknown_experiment(exp_id: str) -> int:
     for known_id, title in list_experiments().items():
         print(f"  {known_id:10s} {title}", file=sys.stderr)
     print("  timeline   ASCII Gantt view of a trace", file=sys.stderr)
-    print("  memscope   memory-system profile of an experiment",
-          file=sys.stderr)
-    print("  critscope  wait-state / critical-path analysis of an "
-          "experiment", file=sys.stderr)
-    print("  hostscope  host-time self-profile of an experiment",
-          file=sys.stderr)
-    print("  serve      run the simulation job server (repro.sdk "
-          "clients)", file=sys.stderr)
-    print("  top        live dashboard for a running job server",
-          file=sys.stderr)
-    print("  ledger     longitudinal performance-and-fidelity ledger",
-          file=sys.stderr)
+    for name, (summary, _) in _VERBS.items():
+        print(f"  {name:10s} {summary}", file=sys.stderr)
     return 2
 
 
@@ -286,8 +259,7 @@ def _timeline(args) -> int:
         print(render_timeline(events, title=args.trace))
         return 0
     # No trace file: capture a small barrier demo live and render it.
-    from .obs import timeline_from_tracer, use_tracer
-    from .sim import Tracer
+    from .obs import timeline_from_tracer
 
     tracer = Tracer(enabled=True)
     with use_tracer(tracer):
@@ -302,33 +274,28 @@ def _timeline(args) -> int:
     return 0
 
 
-def _memscope(args, config) -> int:
-    """``python -m repro memscope`` — the memory-system profiler view."""
+def _scope_verb(entry, args, config) -> int:
+    """``python -m repro <scope> <experiment>`` (or ``--trace PATH``):
+    one profiler's view of one run."""
     import json as _json
 
     from .obs.export import load_trace_checked
-    from .obs.memscope import (
-        MemScope,
-        memscope_from_trace,
-        placement_probe,
-        render_trace_summary,
-        use_memscope,
-    )
 
+    if not entry.prepare(args):
+        return 2
     if args.trace:
         events = load_trace_checked(args.trace)
         if events is None:
             return 2
-        doc = memscope_from_trace(events)
-        if args.json:
-            print(_json.dumps(doc, indent=2))
-        else:
-            print(render_trace_summary(doc, title=args.trace))
+        doc = entry.from_trace(events)
+        print(_json.dumps(doc, indent=2) if args.json
+              else entry.render_trace(doc, title=args.trace))
         return 0
 
     if not args.experiment:
-        print("memscope needs an experiment id (e.g. 'python -m repro "
-              "memscope fig6') or --trace PATH", file=sys.stderr)
+        print(f"{entry.name} needs an experiment id (e.g. 'python -m "
+              f"repro {entry.name} {entry.example}') or --trace PATH",
+              file=sys.stderr)
         return 2
     from .experiments import resolve_experiment_id
 
@@ -337,160 +304,20 @@ def _memscope(args, config) -> int:
     except KeyError:
         return _unknown_experiment(args.experiment)
 
-    ms = MemScope(config, sample=args.memscope_sample)
-    with use_memscope(ms):
-        _run(exp_id, config=config, quick=args.quick)
-    if ms.machine_accesses == 0:
-        # Model-level experiment: the analytic perfmodel attributed its
-        # miss populations (the 'model' block) but no cycle-level machine
-        # ran.  Probe the machine's actual page placement under this
-        # config so the miss-class breakdown reflects real GCB/SCI paths.
-        placement_probe(config, ms)
+    scope = entry.create(config, args)
+    with ExitStack() as stack:
+        entry.enter(stack, scope)
+        run_experiment(exp_id, config=config, quick=args.quick)
+    entry.after_verb(scope, config)
+    if entry.empty(scope):
+        print(entry.empty_message(exp_id), file=sys.stderr)
+        return 2
     if args.json:
-        doc = ms.to_dict(top=args.top)
+        doc = entry.block(scope, args)
         doc["experiment"] = exp_id
         print(_json.dumps(doc, indent=2))
     else:
-        print(ms.render(title=f"memscope: {exp_id}", top=args.top))
-    return 0
-
-
-def _parse_what_if(specs):
-    """Parse repeated ``--what-if CAT=FACTOR`` into ``[(cat, factor)]``.
-
-    Returns ``None`` (after one actionable stderr line) on the first
-    malformed spec; an empty input list parses to ``[]``.
-    """
-    from .obs.critscope import WHAT_IF_PARAMS
-
-    scalable = ", ".join(sorted(WHAT_IF_PARAMS)) + ", compute, memory"
-    out = []
-    for spec in specs or []:
-        cat, sep, factor_s = spec.partition("=")
-        if not sep:
-            print(f"--what-if expects CATEGORY=FACTOR (got {spec!r}); "
-                  f"e.g. --what-if barrier_release=2", file=sys.stderr)
-            return None
-        try:
-            factor = float(factor_s)
-        except ValueError:
-            print(f"--what-if factor must be a number (got {factor_s!r} "
-                  f"in {spec!r})", file=sys.stderr)
-            return None
-        if factor <= 0:
-            print(f"--what-if factor must be > 0 (got {factor_s} in "
-                  f"{spec!r}); 2 means 'twice as fast'", file=sys.stderr)
-            return None
-        from .obs.critscope import CATEGORIES
-
-        if cat not in CATEGORIES or cat == "idle":
-            print(f"--what-if category {cat!r} is not projectable; "
-                  f"choose one of: {scalable}", file=sys.stderr)
-            return None
-        out.append((cat, factor))
-    return out
-
-
-def _critscope(args, config) -> int:
-    """``python -m repro critscope`` — wait-state / critical-path view."""
-    import json as _json
-
-    from .obs.critscope import (
-        CritScope,
-        critscope_from_trace,
-        render_trace_summary,
-        use_critscope,
-    )
-    from .obs.export import load_trace_checked
-
-    what_if = _parse_what_if(args.what_if)
-    if what_if is None:
-        return 2
-
-    if args.trace:
-        events = load_trace_checked(args.trace)
-        if events is None:
-            return 2
-        doc = critscope_from_trace(events)
-        if args.json:
-            print(_json.dumps(doc, indent=2))
-        else:
-            print(render_trace_summary(doc, title=args.trace))
-        return 0
-
-    if not args.experiment:
-        print("critscope needs an experiment id (e.g. 'python -m repro "
-              "critscope fig3') or --trace PATH", file=sys.stderr)
-        return 2
-    from .experiments import resolve_experiment_id
-
-    try:
-        exp_id = resolve_experiment_id(args.experiment)
-    except KeyError:
-        return _unknown_experiment(args.experiment)
-
-    cs = CritScope(config)
-    with use_critscope(cs):
-        _run(exp_id, config=config, quick=args.quick)
-    if not any(run.threads for run in cs.runs):
-        print(f"experiment {exp_id!r} ran no cycle-level machine (it is "
-              "an analytic model-level experiment); critscope needs "
-              "simulated threads to attribute — try fig2, fig3, fig4, or "
-              "a PVM experiment", file=sys.stderr)
-        return 2
-    if args.json:
-        doc = cs.to_dict(top=args.top, what_if=what_if or None)
-        doc["experiment"] = exp_id
-        print(_json.dumps(doc, indent=2))
-    else:
-        print(cs.render(title=f"critscope: {exp_id}", top=args.top,
-                        what_if=what_if or None))
-    return 0
-
-
-def _hostscope(args, config) -> int:
-    """``python -m repro hostscope`` — the host-time self-profiler view."""
-    import json as _json
-
-    from .obs.export import load_trace_checked
-    from .obs.hostscope import (
-        HostScope,
-        hostscope_from_trace,
-        render_trace_summary,
-        use_hostscope,
-    )
-
-    if args.trace:
-        events = load_trace_checked(args.trace)
-        if events is None:
-            return 2
-        doc = hostscope_from_trace(events)
-        if args.json:
-            print(_json.dumps(doc, indent=2))
-        else:
-            print(render_trace_summary(doc, title=args.trace))
-        return 0
-
-    if not args.experiment:
-        print("hostscope needs an experiment id (e.g. 'python -m repro "
-              "hostscope fig2') or --trace PATH", file=sys.stderr)
-        return 2
-    from .experiments import resolve_experiment_id
-
-    try:
-        exp_id = resolve_experiment_id(args.experiment)
-    except KeyError:
-        return _unknown_experiment(args.experiment)
-
-    hs = HostScope(config)
-    with use_hostscope(hs), hs.profile():
-        _run(exp_id, config=config, quick=args.quick)
-    if args.json:
-        doc = hs.to_dict(top=args.top)
-        doc["experiment"] = exp_id
-        print(_json.dumps(doc, indent=2))
-    else:
-        print(hs.render(title=f"hostscope: {exp_id}", top=args.top))
+        print(entry.render(scope, exp_id, args))
     return 0
 
 
@@ -503,34 +330,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         argv = argv[1:]
     if argv and argv[0] == "--list":
         argv = ["list"] + argv[1:]
-    if argv and argv[0] == "serve":
-        # the job server has its own parser (``repro serve --help``)
-        from .server import serve_main
+    if argv and argv[0] in _VERBS:
+        return _VERBS[argv[0]][1](argv[1:])
+    return _experiment_main(argv)
 
-        return serve_main(argv[1:])
-    if argv and argv[0] == "top":
-        # the live dashboard has its own parser (``repro top --help``)
-        from .obs.top import top_main
 
-        return top_main(argv[1:])
-    if argv and argv[0] == "ledger":
-        # the performance ledger has its own parser
-        # (``repro ledger --help``)
-        from .obs.ledger import ledger_main
-
-        return ledger_main(argv[1:])
-    memscope_cmd = False
-    if argv and argv[0] == "memscope":
-        memscope_cmd = True
-        argv = argv[1:]
-    critscope_cmd = False
-    if argv and argv[0] == "critscope":
-        critscope_cmd = True
-        argv = argv[1:]
-    hostscope_cmd = False
-    if argv and argv[0] == "hostscope":
-        hostscope_cmd = True
-        argv = argv[1:]
+def _experiment_main(argv: List[str], scope_verb=None) -> int:
+    """The experiment command line; with ``scope_verb`` (a
+    :data:`~repro.obs.scopes.SCOPES` entry), that profiler's verb."""
     args = build_parser().parse_args(argv)
     if args.jobs is not None and args.jobs < 1:
         print(f"--jobs must be >= 1 (got {args.jobs}): use --jobs 1 for a "
@@ -555,17 +362,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.seed is not None:
         _seed_rngs(args.seed)
     config = spp1000(n_hypernodes=args.hypernodes)
-    if memscope_cmd:
-        return _memscope(args, config)
-    if critscope_cmd:
-        return _critscope(args, config)
-    if hostscope_cmd:
-        return _hostscope(args, config)
+    if scope_verb is not None:
+        return _scope_verb(scope_verb, args, config)
     if args.experiment is None:
-        print("an experiment id (or 'list', 'all', 'bench', 'timeline', "
-              "'memscope', 'critscope', 'hostscope', 'serve', 'top', "
-              "'ledger') is required; try 'python -m repro list'",
-              file=sys.stderr)
+        words = ["list", "all", "bench", "timeline", *_VERBS]
+        print(f"an experiment id (or {', '.join(map(repr, words))}) is "
+              "required; try 'python -m repro list'", file=sys.stderr)
         return 2
     if args.experiment == "list":
         from .exec import unit_count
@@ -589,21 +391,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.experiment != "all" and args.experiment not in list_experiments():
         return _unknown_experiment(args.experiment)
 
-    fault_plan = None
+    ok, fault_plan = True, None
     if args.faults:
         from .faults import FaultPlanError, load_plan
 
-        try:
-            fault_plan = load_plan(args.faults, config)
-        except OSError as exc:
-            print(f"cannot read fault plan: {exc}", file=sys.stderr)
-            return 2
-        except FaultPlanError as exc:
-            print(f"invalid fault plan {args.faults}:", file=sys.stderr)
-            for line in str(exc).splitlines():
-                print(f"  {line}", file=sys.stderr)
-            return 2
-
+        ok, fault_plan = _load_plan(
+            "fault", args.faults, lambda path: load_plan(path, config),
+            FaultPlanError)
+    if not ok:
+        return 2
     ok, chaos_plan = _load_chaos(args)
     if not ok:
         return 2
@@ -624,13 +420,12 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     multi = len(targets) > 1
     observing = bool(args.trace or args.metrics or args.profile
-                     or args.memscope or args.critscope or args.hostscope)
+                     or any(getattr(args, name) for name in SCOPES))
     if args.ledger and not args.metrics:
         print("note: for experiment runs --ledger folds the --metrics "
               "manifest; add --metrics PATH (or use 'bench --ledger')",
               file=sys.stderr)
-    what_if = _parse_what_if(args.what_if)
-    if what_if is None:
+    if not all(scope.prepare(args) for scope in SCOPES.values()):
         return 2
     if args.trace:
         args.trace = _resolve_output(args.trace, "trace.json")
@@ -644,7 +439,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 print(f"output directory does not exist: {parent}",
                       file=sys.stderr)
                 return 2
-    from .exec import JournalError, UnitExecutionError, has_units
+    from .exec import JournalError, UnitExecutionError, execute, has_units
 
     jobs = args.jobs or 1
     cache = _build_cache(args)
@@ -672,45 +467,29 @@ def main(argv: Optional[List[str]] = None) -> int:
         progress = ProgressStream(args.progress)
     for exp_id in targets:
         fabric = has_units(exp_id)
-        report = None
-        kwargs = {"config": config}
-        if args.quick:
-            kwargs["quick"] = True
         if checkpoint is not None and not fabric:
             import inspect
 
             from .experiments import get_experiment
 
-            if "checkpoint" in inspect.signature(
+            if "checkpoint" not in inspect.signature(
                     get_experiment(exp_id)).parameters:
-                kwargs["checkpoint"] = checkpoint
-            else:
                 print(f"note: experiment {exp_id!r} does not support "
                       "checkpointing; --checkpoint ignored",
                       file=sys.stderr)
+        unplanned = f"note: experiment {exp_id!r} has no work-unit planner; "
         if not fabric and jobs > 1:
-            print(f"note: experiment {exp_id!r} has no work-unit planner; "
-                  "running in-process (--jobs ignored)", file=sys.stderr)
-        if fault_plan is not None:
-            from .faults import use_faults
-
-            faults_ctx = use_faults(fault_plan)
-        else:
-            from contextlib import nullcontext
-
-            faults_ctx = nullcontext()
-
+            print(unplanned + "running in-process (--jobs ignored)",
+                  file=sys.stderr)
         if progress is not None and not fabric:
-            print(f"note: experiment {exp_id!r} has no work-unit planner; "
-                  "--progress emits nothing for in-process runs",
+            print(unplanned + "--progress emits nothing for in-process runs",
                   file=sys.stderr)
         if not fabric and (args.journal or chaos_plan is not None):
-            print(f"note: experiment {exp_id!r} has no work-unit planner; "
-                  "--journal/--chaos apply to fabric experiments only",
-                  file=sys.stderr)
+            print(unplanned + "--journal/--chaos apply to fabric experiments "
+                  "only", file=sys.stderr)
         journal = None
         if args.journal and fabric:
-            from .exec import JournalError, SweepJournal
+            from .exec import SweepJournal
 
             journal_path = _suffixed(args.journal, exp_id, multi)
             if not args.resume and os.path.exists(journal_path):
@@ -722,113 +501,57 @@ def main(argv: Optional[List[str]] = None) -> int:
                     return 2
             journal = SweepJournal(journal_path)
 
-        def run_target():
-            if fabric:
-                from .exec import execute
-
-                result, rep = execute(
-                    exp_id, config, jobs=jobs, quick=args.quick,
-                    cache=cache, checkpoint=checkpoint,
-                    fault_plan=fault_plan, seed=args.seed,
-                    observed=observing, progress=progress,
-                    policy=policy, chaos=chaos_plan, journal=journal)
-                return result, rep
-            return _run(exp_id, **kwargs), None
-
-        if observing:
-            from .obs import (use_tracer, write_chrome_trace,
-                              write_metrics)
-            from .sim import Tracer
-
-            tracer = Tracer(enabled=True)
-            ms = None
-            if args.memscope:
-                from .obs.memscope import MemScope, use_memscope
-
-                ms = MemScope(config, sample=args.memscope_sample)
-                ms_ctx = use_memscope(ms)
-            else:
-                from contextlib import nullcontext
-
-                ms_ctx = nullcontext()
-            cs = None
-            if args.critscope:
-                from .obs.critscope import CritScope, use_critscope
-
-                cs = CritScope(config)
-                cs_ctx = use_critscope(cs)
-            else:
-                from contextlib import nullcontext
-
-                cs_ctx = nullcontext()
-            hs = None
-            if args.hostscope:
-                from .obs.hostscope import HostScope, use_hostscope
-
-                hs = HostScope(config)
-                hs_ctx = use_hostscope(hs)
-                hs_prof = hs.profile()
-            else:
-                from contextlib import nullcontext
-
-                hs_ctx = nullcontext()
-                hs_prof = nullcontext()
-            try:
-                with use_tracer(tracer), ms_ctx, cs_ctx, hs_ctx, hs_prof, \
-                        faults_ctx:
-                    result, report = run_target()
-            except (JournalError, UnitExecutionError) as exc:
-                return _execution_failed(exc, progress)
-            print(result.render())
-            if args.profile:
-                print()
-                print(_render_profile(tracer))
-            if ms is not None:
-                print()
-                print(ms.render(title=f"memscope: {exp_id}",
-                                top=args.top))
-            if cs is not None:
-                print()
-                if any(run.threads for run in cs.runs):
-                    print(cs.render(title=f"critscope: {exp_id}",
-                                    top=args.top,
-                                    what_if=what_if or None))
+        tracer = Tracer(enabled=True) if observing else None
+        # the profilers this run attaches, as (registry entry, instance)
+        scopes = [(entry, entry.create(config, args))
+                  for name, entry in SCOPES.items() if getattr(args, name)]
+        try:
+            with ExitStack() as stack:
+                if tracer is not None:
+                    stack.enter_context(use_tracer(tracer))
+                for entry, scope in scopes:
+                    entry.enter(stack, scope)
+                if fault_plan is not None:
+                    stack.enter_context(use_faults(fault_plan))
+                if fabric:
+                    result, report = execute(
+                        exp_id, config, jobs=jobs, quick=args.quick,
+                        cache=cache, checkpoint=checkpoint,
+                        fault_plan=fault_plan, seed=args.seed,
+                        observed=observing, progress=progress,
+                        policy=policy, chaos=chaos_plan, journal=journal)
                 else:
-                    print(f"[critscope {exp_id}] no cycle-level machine "
-                          "ran (analytic model-level experiment); "
-                          "nothing to attribute")
-            if hs is not None:
-                print()
-                print(hs.render(title=f"hostscope: {exp_id}",
-                                top=args.top))
-            if args.trace:
-                path = _suffixed(args.trace, exp_id, multi)
-                write_chrome_trace(tracer, path, config)
-                print(f"\ntrace written to {path}")
-            if args.metrics:
-                path = _suffixed(args.metrics, exp_id, multi)
-                cs_block = None
-                if cs is not None and any(r.threads for r in cs.runs):
-                    cs_block = cs.to_dict(top=args.top,
-                                          what_if=what_if or None)
-                manifest = result.manifest(
-                    config=config, tracer=tracer,
-                    execution=report.to_dict() if report else None,
-                    memscope=ms, critscope=cs_block,
-                    hostscope=(hs.to_dict(top=args.top)
-                               if hs is not None else None))
-                write_metrics(manifest, path)
-                print(f"metrics manifest written to {path}")
-                if args.ledger:
-                    _ledger_append(args.ledger, manifest,
-                                   source="metrics")
-        else:
-            try:
-                with faults_ctx:
-                    result, report = run_target()
-            except (JournalError, UnitExecutionError) as exc:
-                return _execution_failed(exc, progress)
-            print(result.render())
+                    result, report = run_experiment(
+                        exp_id, config=config, quick=args.quick,
+                        checkpoint=checkpoint), None
+        except (JournalError, UnitExecutionError) as exc:
+            return _execution_failed(exc, progress)
+        print(result.render())
+        if args.profile:
+            print()
+            print(_render_profile(tracer))
+        for entry, scope in scopes:
+            print()
+            print(entry.render(scope, exp_id, args))
+        if args.trace:
+            from .obs.export import write_chrome_trace
+
+            path = _suffixed(args.trace, exp_id, multi)
+            write_chrome_trace(tracer, path, config)
+            print(f"\ntrace written to {path}")
+        if args.metrics:
+            from .obs.metrics import write_metrics
+
+            path = _suffixed(args.metrics, exp_id, multi)
+            manifest = result.manifest(
+                config=config, tracer=tracer,
+                execution=report.to_dict() if report else None,
+                **{entry.name: entry.block(scope, args)
+                   for entry, scope in scopes})
+            write_metrics(manifest, path)
+            print(f"metrics manifest written to {path}")
+            if args.ledger:
+                _ledger_append(args.ledger, manifest, source="metrics")
         if args.cache_stats:
             print()
             print(report.render() if report is not None
@@ -848,16 +571,21 @@ def _load_chaos(args):
         return True, None
     from .exec import ChaosPlanError, load_chaos_plan
 
+    return _load_plan("chaos", chaos_source, load_chaos_plan,
+                      ChaosPlanError)
+
+
+def _load_plan(kind: str, path: str, load, error):
+    """``(ok, plan)`` for a JSON plan file; prints every problem."""
     try:
-        return True, load_chaos_plan(chaos_source)
+        return True, load(path)
     except OSError as exc:
-        print(f"cannot read chaos plan: {exc}", file=sys.stderr)
-        return False, None
-    except ChaosPlanError as exc:
-        print(f"invalid chaos plan {chaos_source}:", file=sys.stderr)
+        print(f"cannot read {kind} plan: {exc}", file=sys.stderr)
+    except error as exc:
+        print(f"invalid {kind} plan {path}:", file=sys.stderr)
         for line in str(exc).splitlines():
             print(f"  {line}", file=sys.stderr)
-        return False, None
+    return False, None
 
 
 def _execution_failed(exc, progress) -> int:
@@ -985,16 +713,30 @@ def _bench_compare(doc, args) -> int:
     return 1 if report["regressions"] else 0
 
 
-def _run(exp_id: str, **kwargs):
-    """Run an experiment, dropping kwargs its signature does not take."""
-    import inspect
+def _own_parser(target: str):
+    """Handler for a verb with its own parser (``repro serve --help``),
+    imported on first use from ``"module:function"``."""
+    def handler(argv: List[str]) -> int:
+        import importlib
 
-    from .experiments import get_experiment
+        module, func = target.split(":")
+        return getattr(importlib.import_module(module), func)(argv)
+    return handler
 
-    fn = get_experiment(exp_id)
-    accepted = inspect.signature(fn).parameters
-    usable = {k: v for k, v in kwargs.items() if k in accepted}
-    return fn(**usable)
+
+#: leading words dispatched before the experiment parser:
+#: name -> (summary, handler taking the remaining argv)
+_VERBS = {
+    **{name: (scope.summary,
+              functools.partial(_experiment_main, scope_verb=scope))
+       for name, scope in SCOPES.items()},
+    "serve": ("run the simulation job server (repro.sdk clients)",
+              _own_parser("repro.server:serve_main")),
+    "top": ("live dashboard for a running job server",
+            _own_parser("repro.obs.top:top_main")),
+    "ledger": ("longitudinal performance-and-fidelity ledger",
+               _own_parser("repro.obs.ledger:ledger_main")),
+}
 
 
 if __name__ == "__main__":  # pragma: no cover

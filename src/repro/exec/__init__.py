@@ -35,7 +35,6 @@ series without re-simulating anything.
 
 from __future__ import annotations
 
-import inspect
 import time
 from typing import Dict, Optional
 
@@ -237,7 +236,7 @@ def execute(experiment_id: str, config, *, jobs: int = 1,
     the sweep still drains, then :class:`UnitExecutionError` propagates
     with the healthy units safely journaled/cached/checkpointed.
     """
-    from ..experiments import get_experiment
+    from ..experiments import run_experiment
     from ..obs.tracectx import active_tracectx
 
     # Ambient trace context (one check per run): when a TraceContext is
@@ -415,14 +414,8 @@ def execute(experiment_id: str, config, *, jobs: int = 1,
 
     t_phase = time.perf_counter()
     store = PointStore(values, checkpoint=checkpoint)
-    fn = get_experiment(experiment_id)
-    accepted = inspect.signature(fn).parameters
-    kwargs = {"checkpoint": store}
-    if "config" in accepted:
-        kwargs["config"] = config
-    if quick and "quick" in accepted:
-        kwargs["quick"] = True
-    result = fn(**kwargs)
+    result = run_experiment(experiment_id, checkpoint=store, config=config,
+                            quick=quick)
     timing["assemble_s"] = round(time.perf_counter() - t_phase, 6)
     report.fallback_points = store.computed
     report.wall_seconds = time.perf_counter() - t0

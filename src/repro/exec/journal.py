@@ -20,17 +20,21 @@ The first line binds the journal to one experiment (replaying a
 carries the same SHA-256 payload checksum the result cache uses
 (:func:`repro.exec.cache.value_checksum`), so a torn or corrupted line
 is detected on replay and skipped — in particular the final line, which
-a crash mid-append routinely truncates.  Skipped lines only cost a
-re-execution; they can never smuggle a wrong value into results.
+a crash mid-append routinely truncates.  Appends go through
+:func:`repro.core.jsonl.append_record`, so a resumed sweep's first record
+starts on a fresh line instead of merging into that torn one.  Skipped
+lines only cost a re-execution; they can never smuggle a wrong value
+into results.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Dict, Optional, TextIO
+from typing import Dict
 
 from ..core.canon import canonical
+from ..core.jsonl import append_record
 from .cache import value_checksum
 from .events import journal_header, journal_record
 
@@ -64,7 +68,7 @@ class SweepJournal:
         self.replayed = 0      #: completions recovered by replay()
         self.skipped = 0       #: torn/corrupt lines ignored by replay()
         self.recorded = 0      #: completions appended this run
-        self._fh: Optional[TextIO] = None
+        self._open = False
 
     # -- replay ---------------------------------------------------------
 
@@ -128,31 +132,21 @@ class SweepJournal:
         """Open for appending; writes the binding header on a new file."""
         fresh = not os.path.exists(self.path) or \
             os.path.getsize(self.path) == 0
-        parent = os.path.dirname(os.path.abspath(self.path))
-        os.makedirs(parent, exist_ok=True)
-        self._fh = open(self.path, "a", encoding="utf-8")
+        self._open = True
         if fresh:
-            self._append(journal_header(JOURNAL_SCHEMA, experiment_id,
-                                        fingerprint))
+            append_record(self.path, journal_header(
+                JOURNAL_SCHEMA, experiment_id, fingerprint))
 
     def record(self, key: str, value) -> None:
         """Append one completion; durable (flush + fsync) on return."""
-        if self._fh is None:
+        if not self._open:
             raise JournalError("journal is not open for recording")
-        self._append(journal_record(key, canonical(value),
-                                    value_checksum(value)))
+        append_record(self.path, journal_record(
+            key, canonical(value), value_checksum(value)))
         self.recorded += 1
 
-    def _append(self, obj: Dict) -> None:
-        line = json.dumps(obj, sort_keys=True, separators=(",", ":"))
-        self._fh.write(line + "\n")
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
-
     def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+        self._open = False
 
     def __enter__(self) -> "SweepJournal":
         return self

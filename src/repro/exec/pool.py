@@ -51,6 +51,7 @@ from collections import deque
 from contextlib import nullcontext
 from typing import Callable, Dict, List, Optional
 
+from ..faults import use_faults
 from .events import make_event
 from .resilience import (
     ResiliencePolicy,
@@ -129,7 +130,6 @@ def _worker_main(task_q, result_q, config, fault_plan, seed,
         from .. import experiments  # noqa: F401
     except Exception:  # pragma: no cover - synthetic registries in tests
         pass
-    from ..faults import use_faults
 
     if seed is not None:
         _seed_worker(seed)
@@ -151,10 +151,9 @@ def _worker_main(task_q, result_q, config, fault_plan, seed,
                 elif fault["kind"] == "delay_unit":
                     fired.append("delay_unit")
                     time.sleep(fault["seconds"])
-            ctx = (use_faults(fault_plan) if fault_plan is not None
-                   else nullcontext())
             t0 = time.monotonic()
-            with ctx:
+            with (nullcontext() if fault_plan is None
+                  else use_faults(fault_plan)):
                 value = run_unit(experiment_id, params, config)
             t1 = time.monotonic()
             if any(f["kind"] == "drop_return" for f in faults):
@@ -263,7 +262,7 @@ class WorkerPool:
                     on_progress=None, on_event=None, on_complete=None,
                     chaos_spec=None) -> Dict[str, object]:
         ctx = (nullcontext() if fault_plan is None
-               else _faults_ctx(fault_plan))
+               else use_faults(fault_plan))
         chaos_spec = chaos_spec or {}
         values: Dict[str, object] = {}
         with ctx:
@@ -674,7 +673,3 @@ class _PoolCollapsed(Exception):
     """Internal: the pool cannot make progress; degrade to serial."""
 
 
-def _faults_ctx(fault_plan):
-    from ..faults import use_faults
-
-    return use_faults(fault_plan)

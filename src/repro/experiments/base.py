@@ -55,25 +55,20 @@ class ExperimentResult:
             parts.append(self.notes)
         return "\n\n".join(parts)
 
-    def manifest(self, *, config=None, tracer=None, phases=None,
-                 execution=None, memscope=None, critscope=None,
-                 hostscope=None, extra=None) -> Dict:
+    def manifest(self, **kwargs) -> Dict:
         """The run's ``metrics.json`` manifest (see :mod:`repro.obs`).
 
         Every experiment gets this for free: headline data from
         :attr:`data`, plus — when a tracer observed the run — per-phase
         span times, counter deltas, imbalance factors, and the §4
-        instrumentation-overhead accounting; ``memscope`` folds in the
-        memory-system profile, ``critscope`` the wait-state /
-        critical-path analysis, and ``hostscope`` the host-time /
-        throughput profile when those observers watched the run.
+        instrumentation-overhead accounting; ``memscope=``,
+        ``critscope=`` and ``hostscope=`` fold in those profilers'
+        blocks when they watched the run.  Takes the keywords of
+        :func:`~repro.obs.metrics.build_manifest`.
         """
         from ..obs.metrics import build_manifest
 
-        return build_manifest(self, config=config, tracer=tracer,
-                              phases=phases, execution=execution,
-                              memscope=memscope, critscope=critscope,
-                              hostscope=hostscope, extra=extra)
+        return build_manifest(self, **kwargs)
 
 
 _REGISTRY: Dict[str, Callable[..., ExperimentResult]] = {}
@@ -124,4 +119,10 @@ def resolve_experiment_id(name: str) -> str:
 
 
 def run_experiment(experiment_id: str, **kwargs) -> ExperimentResult:
-    return get_experiment(experiment_id)(**kwargs)
+    """Run an experiment, dropping keyword arguments its ``run()`` does
+    not take (``quick`` for an experiment without a quick mode, say)."""
+    import inspect
+
+    fn = get_experiment(experiment_id)
+    accepted = inspect.signature(fn).parameters
+    return fn(**{k: v for k, v in kwargs.items() if k in accepted})

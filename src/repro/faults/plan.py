@@ -33,9 +33,10 @@ problem listed, not just the first.
 from __future__ import annotations
 
 import json
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
+
+from ..core import ambient as _ambient
 
 __all__ = [
     "FaultEvent", "FaultPlan", "FaultPlanError", "PvmPolicy",
@@ -312,31 +313,8 @@ def ring_loss_plan(n_rings_failed: int, t_us: float = 0.0,
     return FaultPlan(events=events, **plan_kwargs)
 
 
-# ---------------------------------------------------------------------------
 # Ambient fault plan: lets the CLI's --faults flag (or an experiment's
-# scenario loop) reach machines built deep inside experiment code, exactly
-# like repro.sim.trace.use_tracer does for tracers.  Pushing None masks an
-# outer plan (an explicit "no faults" scope).
-# ---------------------------------------------------------------------------
-
-_ACTIVE: List[Optional[FaultPlan]] = []
-
-
-def active_fault_plan() -> Optional[FaultPlan]:
-    """The innermost plan installed by :func:`use_faults`, if any."""
-    return _ACTIVE[-1] if _ACTIVE else None
-
-
-@contextmanager
-def use_faults(plan: Optional[FaultPlan]):
-    """Install ``plan`` as the ambient fault plan for the dynamic extent.
-
-    :class:`~repro.machine.system.Machine` instances constructed inside
-    the ``with`` block (without an explicit ``faults=``) adopt it.
-    ``use_faults(None)`` explicitly masks any outer plan.
-    """
-    _ACTIVE.append(plan)
-    try:
-        yield plan
-    finally:
-        _ACTIVE.pop()
+# scenario loop) reach machines built deep inside experiment code.
+# ``use_faults(None)`` masks an outer plan (an explicit "no faults" scope).
+active_fault_plan = _ambient.FAULTS.active
+use_faults = _ambient.FAULTS.use

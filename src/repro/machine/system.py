@@ -34,9 +34,10 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional
 
+from ..core import ambient
 from ..core.config import MachineConfig, spp1000
-from ..faults.plan import FaultPlan, active_fault_plan
-from ..sim import Event, Simulator, Tracer, active_tracer
+from ..faults.plan import FaultPlan
+from ..sim import Event, Simulator, Tracer
 from . import sci as sci_mod
 from .address import AddressSpace, HomeLocation, MemClass, Region
 from .cache import DirectMappedCache
@@ -52,19 +53,6 @@ __all__ = ["Machine"]
 _WORD = 8  # value-store granularity (64-bit words)
 
 
-def _ambient_memscope():
-    """Lazy lookup of the ambient memory profiler, avoiding the
-    ``machine -> obs -> tools -> machine`` import cycle at module load."""
-    from ..obs.memscope import active_memscope
-    return active_memscope()
-
-
-def _ambient_critscope():
-    """Lazy lookup of the ambient critical-path analyzer (same reason)."""
-    from ..obs.critscope import active_critscope
-    return active_critscope()
-
-
 class Machine:
     """A fully wired simulated SPP-1000."""
 
@@ -78,7 +66,7 @@ class Machine:
         # No explicit tracer: adopt the ambient one (``use_tracer``) so a
         # CLI-level ``--trace`` reaches machines built deep inside
         # experiment code; otherwise a quiet default.
-        self.tracer = tracer or active_tracer() or Tracer()
+        self.tracer = tracer or ambient.TRACER.active() or Tracer()
         if self.tracer.enabled:
             self.sim.tracer = self.tracer
         self.topology = Topology(self.config)
@@ -103,27 +91,20 @@ class Machine:
         # into it.  Without one, every emission point in the machine,
         # caches, directories, banks, rings and SCI lists pays exactly
         # one ``is None`` check — the zero-cost contract.
-        self.memscope = _ambient_memscope()
-        if self.memscope is not None:
-            ms = self.memscope
+        ms = self.memscope = ambient.MEMSCOPE.active()
+        if ms is not None:
             ms.attach(self)
             for cpu, cache in enumerate(self.caches):
-                cache.memscope = ms
                 cache.cpu = cpu
-            for directory in self.directories:
-                directory.memscope = ms
-            self.sci.memscope = ms
-            for bank in self.mem.banks:
-                bank.memscope = ms
-            for ring in self.net.rings:
-                ring.memscope = ms
-            for crossbar in self.net.crossbars:
-                crossbar.memscope = ms
+            for part in (*self.caches, *self.directories, self.sci,
+                         *self.mem.banks, *self.net.rings,
+                         *self.net.crossbars):
+                part.memscope = ms
         # Critical-path analyzer: adopt the ambient instance
         # (``use_critscope``) and open this machine's run recorder; the
         # runtime/pvm layers read ``machine.critscope`` and pay one
         # ``is None`` check per emission point when it is off.
-        cs = _ambient_critscope()
+        cs = ambient.CRITSCOPE.active()
         self.critscope = cs.new_run(self) if cs is not None else None
         # Host-time profiler: the simulator adopted the ambient scope at
         # construction; teach it this machine's clock so it can convert
@@ -136,7 +117,7 @@ class Machine:
         # ``is None`` check — the zero-cost contract.
         self.faults = None
         self.watchdog = None
-        plan = faults if faults is not None else active_fault_plan()
+        plan = faults if faults is not None else ambient.FAULTS.active()
         if plan is not None:
             from ..faults.state import FaultState
             from ..faults.watchdog import Watchdog

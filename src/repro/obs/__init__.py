@@ -48,84 +48,55 @@ first-class measurement subsystem for the simulated machine:
   sparklines and a windowed median/MAD regression gate (see
   ``docs/ledger.md``).
 
+The package exports are resolved on first access (each submodule is
+imported when one of its names is first used), so importing one
+submodule -- the profiler registry :mod:`repro.obs.scopes` on every
+command line, say -- does not load the rest.
+
 Zero-cost contract: tracing never advances simulated time, and a fully
 disabled tracer (``Tracer(counting=False)``) costs one no-op call per
 emission point in host time.  See :mod:`repro.sim.trace` for the
 overhead-correction story mirroring the paper's §4 methodology.
 """
 
-from ..sim.trace import TraceEvent, Tracer, active_tracer, use_tracer
-from .critscope import (
-    CritScope,
-    active_critscope,
-    critscope_from_trace,
-    scaled_config,
-    use_critscope,
-)
-from .export import (
-    chrome_trace,
-    jsonl_lines,
-    load_trace,
-    load_trace_checked,
-    write_chrome_trace,
-    write_jsonl,
-)
-from .fidelity import FIDELITY_EXPERIMENTS, fidelity_residuals
-from .hostscope import (
-    HostScope,
-    active_hostscope,
-    hostscope_from_trace,
-    use_hostscope,
-)
-from .ledger import (
-    DEFAULT_LEDGER_PATH,
-    Ledger,
-    LedgerError,
-    fold_document,
-    record_checksum,
-    record_from_bench,
-    record_from_manifest,
-    record_from_server_stats,
-)
-from .memscope import (
-    MemScope,
-    active_memscope,
-    memscope_from_trace,
-    placement_probe,
-    use_memscope,
-)
-from .metrics import build_manifest, provenance_stamp, span_summary, \
-    write_metrics
-from .phases import PhaseAttributor, PhaseCounters
-from .registry import Counter, Gauge, Histogram, MetricsRegistry
-from .timeline import render_timeline, timeline_from_tracer
-from .tracectx import (
-    TraceContext,
-    active_tracectx,
-    mint_trace_id,
-    stitch_chrome_trace,
-    use_tracectx,
-    write_chrome_json,
-)
+import importlib
 
-__all__ = [
-    "Tracer", "TraceEvent", "active_tracer", "use_tracer",
-    "chrome_trace", "write_chrome_trace", "jsonl_lines", "write_jsonl",
-    "load_trace", "load_trace_checked",
-    "CritScope", "active_critscope", "use_critscope", "scaled_config",
-    "critscope_from_trace",
-    "build_manifest", "provenance_stamp", "span_summary", "write_metrics",
-    "PhaseAttributor", "PhaseCounters",
-    "render_timeline", "timeline_from_tracer",
-    "MemScope", "active_memscope", "use_memscope", "placement_probe",
-    "memscope_from_trace",
-    "HostScope", "active_hostscope", "use_hostscope",
-    "hostscope_from_trace",
-    "FIDELITY_EXPERIMENTS", "fidelity_residuals",
-    "Ledger", "LedgerError", "DEFAULT_LEDGER_PATH", "record_checksum",
-    "record_from_bench", "record_from_manifest",
-    "record_from_server_stats", "fold_document",
-    "MetricsRegistry", "Counter", "Gauge", "Histogram",
-    "TraceContext", "active_tracectx", "use_tracectx", "mint_trace_id",
-    "stitch_chrome_trace", "write_chrome_json",
-]
+#: submodule -> the names this package re-exports from it
+_EXPORTS = {
+    "..sim.trace": ("Tracer", "TraceEvent", "active_tracer", "use_tracer"),
+    ".export": ("chrome_trace", "write_chrome_trace", "jsonl_lines",
+                "write_jsonl", "load_trace", "load_trace_checked"),
+    ".critscope": ("CritScope", "active_critscope", "use_critscope",
+                   "scaled_config", "critscope_from_trace"),
+    ".metrics": ("build_manifest", "provenance_stamp", "span_summary",
+                 "write_metrics"),
+    ".phases": ("PhaseAttributor", "PhaseCounters"),
+    ".timeline": ("render_timeline", "timeline_from_tracer"),
+    ".memscope": ("MemScope", "active_memscope", "use_memscope",
+                  "placement_probe", "memscope_from_trace"),
+    ".hostscope": ("HostScope", "active_hostscope", "use_hostscope",
+                   "hostscope_from_trace"),
+    ".fidelity": ("FIDELITY_EXPERIMENTS", "fidelity_residuals"),
+    ".ledger": ("Ledger", "LedgerError", "DEFAULT_LEDGER_PATH",
+                "record_checksum", "record_from_bench",
+                "record_from_manifest", "record_from_server_stats",
+                "fold_document"),
+    ".registry": ("MetricsRegistry", "Counter", "Gauge", "Histogram"),
+    ".tracectx": ("TraceContext", "active_tracectx", "use_tracectx",
+                  "mint_trace_id", "stitch_chrome_trace",
+                  "write_chrome_json"),
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items()
+           for name in names}
+
+__all__ = list(_SOURCE)
+
+
+def __getattr__(name):
+    module = _SOURCE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute "
+                             f"{name!r}")
+    value = getattr(importlib.import_module(module, __name__), name)
+    globals()[name] = value
+    return value

@@ -40,9 +40,9 @@ all of them).
 from __future__ import annotations
 
 from bisect import bisect_right
-from contextlib import contextmanager
 from typing import Dict, List, Optional, Tuple
 
+from ..core import ambient as _ambient
 from ..core.tables import Table
 
 __all__ = ["CATEGORIES", "CritScope", "CritRun", "active_critscope",
@@ -498,24 +498,10 @@ class CritScope:
         return "\n\n".join(parts)
 
 
-# -- ambient installation ---------------------------------------------------
-
-_ACTIVE: List[CritScope] = []
-
-
-def active_critscope() -> Optional[CritScope]:
-    """The innermost installed analyzer, or None."""
-    return _ACTIVE[-1] if _ACTIVE else None
-
-
-@contextmanager
-def use_critscope(scope: CritScope):
-    """Install ``scope`` so machines built inside the block report into it."""
-    _ACTIVE.append(scope)
-    try:
-        yield scope
-    finally:
-        _ACTIVE.pop()
+# Ambient installation (critscope stack of repro.core.ambient):
+# machines built inside the block report into the installed analyzer.
+active_critscope = _ambient.CRITSCOPE.active
+use_critscope = _ambient.CRITSCOPE.use
 
 
 # -- trace-based summaries --------------------------------------------------

@@ -46,6 +46,7 @@ from contextlib import contextmanager, nullcontext
 from time import perf_counter_ns
 from typing import Dict, List, Optional
 
+from ..core import ambient as _ambient
 from ..core.tables import Table
 
 __all__ = ["REGIONS", "HostScope", "active_hostscope", "use_hostscope",
@@ -305,24 +306,10 @@ class HostScope:
         return "\n\n".join(parts)
 
 
-# -- ambient installation ---------------------------------------------------
-
-_ACTIVE: List[HostScope] = []
-
-
-def active_hostscope() -> Optional[HostScope]:
-    """The innermost installed profiler, or None."""
-    return _ACTIVE[-1] if _ACTIVE else None
-
-
-@contextmanager
-def use_hostscope(scope: HostScope):
-    """Install ``scope`` so simulators built inside the block adopt it."""
-    _ACTIVE.append(scope)
-    try:
-        yield scope
-    finally:
-        _ACTIVE.pop()
+# Ambient installation (hostscope stack of repro.core.ambient):
+# simulators built inside the block adopt the installed profiler.
+active_hostscope = _ambient.HOSTSCOPE.active
+use_hostscope = _ambient.HOSTSCOPE.use
 
 
 def host_region(hs: Optional[HostScope], name: str):

@@ -48,6 +48,7 @@ from datetime import datetime, timezone
 from typing import Dict, List, Optional, Tuple
 
 from ..core.canon import canonical_json
+from ..core.jsonl import append_record
 from .fidelity import fidelity_residuals
 
 __all__ = ["LEDGER_SCHEMA", "DEFAULT_LEDGER_PATH", "Ledger",
@@ -91,26 +92,7 @@ class Ledger:
         record = dict(record)
         record["ledger_schema"] = LEDGER_SCHEMA
         record["sha256"] = record_checksum(record)
-        parent = os.path.dirname(self.path)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        line = json.dumps(record, sort_keys=True, separators=(",", ":"))
-        # A crash mid-append leaves a torn, newline-less tail; starting
-        # the new record on its own line quarantines the torn one (the
-        # reader skips it) instead of corrupting both.
-        torn_tail = False
-        try:
-            with open(self.path, "rb") as fh:
-                fh.seek(0, os.SEEK_END)
-                if fh.tell():
-                    fh.seek(-1, os.SEEK_END)
-                    torn_tail = fh.read(1) != b"\n"
-        except OSError:
-            pass
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(("\n" if torn_tail else "") + line + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
+        append_record(self.path, record)
         return record
 
     def read(self) -> Tuple[List[Dict], int]:

@@ -37,8 +37,9 @@ far-shared sweep on a real machine with the configured hypernode count.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import Dict, List, Optional
+
+from ..core import ambient as _ambient
 
 __all__ = ["MemScope", "active_memscope", "use_memscope",
            "placement_probe", "memscope_from_trace"]
@@ -441,27 +442,10 @@ class MemScope:
         return "\n\n".join(parts)
 
 
-# ---------------------------------------------------------------------------
-# Ambient-profiler context (same idiom as ``use_tracer``/``use_faults``):
-# a Machine built inside the ``with`` block adopts the installed profiler.
-# ---------------------------------------------------------------------------
-
-_ACTIVE: List[MemScope] = []
-
-
-def active_memscope() -> Optional[MemScope]:
-    """The innermost profiler installed by :func:`use_memscope`, if any."""
-    return _ACTIVE[-1] if _ACTIVE else None
-
-
-@contextmanager
-def use_memscope(scope: MemScope):
-    """Install ``scope`` as the ambient profiler for the dynamic extent."""
-    _ACTIVE.append(scope)
-    try:
-        yield scope
-    finally:
-        _ACTIVE.pop()
+# Ambient installation (memscope stack of repro.core.ambient):
+# a Machine built inside the block adopts the installed profiler.
+active_memscope = _ambient.MEMSCOPE.active
+use_memscope = _ambient.MEMSCOPE.use
 
 
 # ---------------------------------------------------------------------------

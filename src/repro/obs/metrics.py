@@ -19,6 +19,7 @@ from typing import Dict, List, Optional
 
 from ..core.config import MachineConfig
 from ..sim.trace import Tracer
+from .scopes import SCOPES
 
 __all__ = ["SCHEMA_VERSION", "span_summary", "build_manifest",
            "provenance_stamp", "write_metrics"]
@@ -110,8 +111,7 @@ def build_manifest(result=None, *, tracer: Optional[Tracer] = None,
                    config: Optional[MachineConfig] = None,
                    phases: Optional[List[Dict]] = None,
                    execution: Optional[Dict] = None,
-                   memscope=None, critscope=None, hostscope=None,
-                   extra: Optional[Dict] = None) -> Dict:
+                   extra: Optional[Dict] = None, **scopes) -> Dict:
     """Assemble a ``metrics.json`` manifest.
 
     ``result`` is an :class:`~repro.experiments.base.ExperimentResult`
@@ -119,15 +119,16 @@ def build_manifest(result=None, *, tracer: Optional[Tracer] = None,
     per-phase hpm rows from :class:`~repro.obs.phases.PhaseAttributor`;
     ``execution`` is an :class:`~repro.exec.ExecutionReport` dict (jobs,
     cache hits, units) recorded when the run went through the execution
-    fabric; ``critscope`` (a :class:`~repro.obs.critscope.CritScope` or
-    its ``to_dict()``) folds the wait-state / critical-path analysis in;
-    ``memscope`` is a :class:`~repro.obs.memscope.MemScope` (or
-    its ``to_dict()``) when the memory profiler observed the run;
-    ``hostscope`` (a :class:`~repro.obs.hostscope.HostScope` or its
-    ``to_dict()``) folds in the host-time attribution and throughput
-    accounting.  Every manifest is stamped with
+    fabric.  Each keyword named after a profiler of
+    :data:`~repro.obs.scopes.SCOPES` (``memscope=``, ``critscope=``,
+    ``hostscope=``; the profiler or its ``to_dict()``) folds that
+    profiler's block in.  Every manifest is stamped with
     :func:`provenance_stamp`.
     """
+    unknown = sorted(set(scopes) - set(SCOPES))
+    if unknown:
+        raise TypeError(f"build_manifest() got unknown scope(s) {unknown}; "
+                        f"known: {', '.join(SCOPES)}")
     manifest: Dict = {"schema_version": SCHEMA_VERSION,
                       "generator": "repro.obs",
                       "provenance": provenance_stamp()}
@@ -169,18 +170,11 @@ def build_manifest(result=None, *, tracer: Optional[Tracer] = None,
         manifest["hpm_phases"] = _jsonable(phases)
     if execution:
         manifest["execution"] = _jsonable(execution)
-    if memscope is not None:
-        block = memscope if isinstance(memscope, dict) \
-            else memscope.to_dict()
-        manifest["memscope"] = _jsonable(block)
-    if critscope is not None:
-        block = critscope if isinstance(critscope, dict) \
-            else critscope.to_dict()
-        manifest["critscope"] = _jsonable(block)
-    if hostscope is not None:
-        block = hostscope if isinstance(hostscope, dict) \
-            else hostscope.to_dict()
-        manifest["hostscope"] = _jsonable(block)
+    for name in SCOPES:
+        scope = scopes.get(name)
+        if scope is not None:
+            manifest[name] = _jsonable(
+                scope if isinstance(scope, dict) else scope.to_dict())
     if extra:
         manifest.update(_jsonable(extra))
     return manifest

@@ -26,21 +26,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from ..core import ambient
 from ..core.config import MachineConfig
 from ..core.metrics import mflops as _mflops
-from ..sim.trace import active_tracer
 from .comm import barrier_ns, pvm_oneway_ns, remote_miss_cycles
 from .phase import Access, Phase, StepWork, TeamSpec
 
 __all__ = ["PerformanceModel", "RunResult"]
 
 _WORD = 8
-
-
-def _ambient_memscope():
-    """Lazy lookup of the ambient memory profiler (import-cycle safe)."""
-    from ..obs.memscope import active_memscope
-    return active_memscope()
 
 
 @dataclass(frozen=True)
@@ -179,11 +173,11 @@ class PerformanceModel:
         if team.n_threads >= cfg.n_cpus:
             # machine full: application threads timeshare with the OS
             critical *= 1.0 + cfg.os_daemon_load
-        tracer = active_tracer()
+        tracer = ambient.TRACER.active()
         if tracer is not None and tracer.enabled:
             self._emit_step_trace(tracer, step, team, per_thread, bar_ns,
                                   critical)
-        ms = _ambient_memscope()
+        ms = ambient.MEMSCOPE.active()
         if ms is not None:
             # model-attributed miss profile: how many misses each phase
             # generates and how they split local vs remote (the same

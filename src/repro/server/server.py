@@ -68,7 +68,9 @@ from ..exec import (
     unit_count,
 )
 from ..obs.registry import MetricsRegistry
+from ..obs.scopes import SCOPES
 from ..obs.tracectx import TraceContext, use_tracectx
+from ..sim.trace import Tracer, use_tracer
 from .log import NullLog
 from .protocol import (
     MAX_LINE_BYTES,
@@ -111,7 +113,8 @@ class JobSpec:
     trace: Optional[Dict] = None
 
 
-_TELEMETRY_KINDS = ("hostscope", "memscope", "critscope", "trace")
+#: profilers a job may request, plus ``trace`` (a Chrome trace block)
+_TELEMETRY_KINDS = (*SCOPES, "trace")
 
 
 @dataclass
@@ -875,19 +878,11 @@ class ReproServer:
 
     def _run_inprocess_job(self, job: Job, config) -> Dict:
         """A non-sweep ("simulate") experiment: no planner, no cache."""
-        import inspect
-
-        from ..experiments import get_experiment
+        from ..experiments import run_experiment
 
         spec = job.spec
-        fn = get_experiment(spec.experiment)
-        accepted = inspect.signature(fn).parameters
-        kwargs = {}
-        if "config" in accepted:
-            kwargs["config"] = config
-        if spec.quick and "quick" in accepted:
-            kwargs["quick"] = True
-        result = fn(**kwargs)
+        result = run_experiment(spec.experiment, config=config,
+                                quick=spec.quick)
         return {
             "data": canonical(result.data),
             "execution": {"experiment_id": spec.experiment,
@@ -897,46 +892,28 @@ class ReproServer:
 
     @staticmethod
     def _enter_scopes(stack, telemetry, config) -> Dict[str, object]:
+        """Install the requested profilers (and the ``trace`` tracer)."""
         scopes: Dict[str, object] = {}
-        if "hostscope" in telemetry:
-            from ..obs.hostscope import HostScope, use_hostscope
-
-            hs = HostScope(config)
-            stack.enter_context(use_hostscope(hs))
-            stack.enter_context(hs.profile())
-            scopes["hostscope"] = hs
-        if "memscope" in telemetry:
-            from ..obs.memscope import MemScope, use_memscope
-
-            ms = MemScope(config)
-            stack.enter_context(use_memscope(ms))
-            scopes["memscope"] = ms
-        if "critscope" in telemetry:
-            from ..obs.critscope import CritScope, use_critscope
-
-            cs = CritScope(config)
-            stack.enter_context(use_critscope(cs))
-            scopes["critscope"] = cs
-        if "trace" in telemetry:
-            from ..sim.trace import Tracer, use_tracer
-
-            tr = Tracer(enabled=True)
-            stack.enter_context(use_tracer(tr))
-            scopes["trace"] = tr
+        for name in _TELEMETRY_KINDS:
+            if name not in telemetry:
+                continue
+            if name == "trace":
+                scope = Tracer(enabled=True)
+                stack.enter_context(use_tracer(scope))
+            else:
+                scope = SCOPES[name].create(config)
+                SCOPES[name].enter(stack, scope)
+            scopes[name] = scope
         return scopes
 
     @staticmethod
     def _scope_block(name: str, scope, config=None) -> Optional[Dict]:
-        if name == "critscope":
-            if not any(run.threads for run in scope.runs):
-                return None
-            return scope.to_dict()
         if name == "trace":
             from ..obs.export import chrome_trace
 
             return chrome_trace(scope, config) if scope.events \
                 or scope.records else None
-        return scope.to_dict()
+        return SCOPES[name].block(scope)
 
     # -- stats ---------------------------------------------------------
 

@@ -27,6 +27,7 @@ import itertools
 from heapq import heappop, heappush
 from typing import Callable, Generator, Iterable, Optional
 
+from ..core import ambient
 from .errors import (
     DeadlockError,
     EventAlreadyTriggered,
@@ -36,13 +37,6 @@ from .errors import (
 __all__ = ["Event", "Timeout", "Condition", "Simulator"]
 
 _UNSET = object()
-
-
-def _ambient_hostscope():
-    """Lazy lookup of the ambient host-time profiler, avoiding the
-    ``sim -> obs -> tools -> machine -> sim`` import cycle at load."""
-    from ..obs.hostscope import active_hostscope
-    return active_hostscope()
 
 
 class Event:
@@ -211,7 +205,7 @@ class Simulator:
         #: ambient ``use_hostscope`` scope at construction; ``None`` by
         #: default so the hot loop pays nothing.  Read once per
         #: :meth:`run` call, so attach it before running.
-        self.hostscope = _ambient_hostscope()
+        self.hostscope = ambient.HOSTSCOPE.active()
         if self.hostscope is not None:
             self.hostscope.simulators += 1
 

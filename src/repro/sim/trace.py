@@ -40,6 +40,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from ..core import ambient as _ambient
+
 __all__ = ["TraceRecord", "TraceEvent", "Tracer", "active_tracer",
            "use_tracer"]
 
@@ -211,31 +213,8 @@ class Tracer:
         self._open_spans.clear()
 
 
-# ---------------------------------------------------------------------------
-# Active-tracer context: lets the CLI hand one tracer to every Machine an
-# experiment constructs internally, without threading it through every
-# signature.  Lives here (not in repro.obs) to avoid import cycles.
-# ---------------------------------------------------------------------------
-
-_ACTIVE: List[Tracer] = []
-
-
-def active_tracer() -> Optional[Tracer]:
-    """The innermost tracer installed by :func:`use_tracer`, if any."""
-    return _ACTIVE[-1] if _ACTIVE else None
-
-
-@contextmanager
-def use_tracer(tracer: Tracer):
-    """Install ``tracer`` as the ambient tracer for the dynamic extent.
-
-    :class:`~repro.machine.system.Machine` instances constructed inside
-    the ``with`` block (without an explicit ``tracer=``) adopt it, so a
-    whole experiment — however many machines it builds — funnels into
-    one event stream.
-    """
-    _ACTIVE.append(tracer)
-    try:
-        yield tracer
-    finally:
-        _ACTIVE.pop()
+# Ambient tracer: a Machine built inside ``with use_tracer(t):`` (without
+# an explicit ``tracer=``) adopts ``t``, so a whole experiment -- however
+# many machines it builds -- funnels into one event stream.
+active_tracer = _ambient.TRACER.active
+use_tracer = _ambient.TRACER.use

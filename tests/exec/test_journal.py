@@ -56,6 +56,29 @@ def test_journal_survives_torn_tail(tmp_path):
     assert again.skipped == 1
 
 
+def test_journal_record_after_torn_tail_is_durable(tmp_path):
+    """A resumed sweep appends after a crash's newline-less last line;
+    the next record must start on its own line, not merge into the torn
+    one (and vanish on the next replay)."""
+    path = str(tmp_path / "sweep.jsonl")
+    with SweepJournal(path) as journal:
+        journal.open("exp")
+        journal.record("k:1", 11)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write('{"key": "k:2", "val')  # crash mid-append
+
+    resumed = SweepJournal(path)
+    assert resumed.replay("exp") == {"k:1": 11}
+    resumed.open("exp")
+    resumed.record("k:2", 22)
+    resumed.record("k:3", 33)
+    resumed.close()
+
+    again = SweepJournal(path)
+    assert again.replay("exp") == {"k:1": 11, "k:2": 22, "k:3": 33}
+    assert again.skipped == 1
+
+
 def test_journal_skips_checksum_failed_lines(tmp_path):
     path = str(tmp_path / "sweep.jsonl")
     with SweepJournal(path) as journal:
